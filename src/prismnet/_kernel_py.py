@@ -1,42 +1,40 @@
-"""Pure-Python/numpy fallback for the trial kernel.
+"""Pair-graph kernel: link draws and connectivity of one trial's node set.
 
-Same contract and bit-identical results as the compiled extension: it
-consumes the same positions and pair uniforms, with pairs in row-major
-condensed order.
+Pair k is (i, j), i < j, in row-major condensed order, the order scipy's
+pdist uses; pair k is linked when u[k] < H(|x_i - x_j|).
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial.distance import pdist
 
-FAMILY_MIMO = 0
-FAMILY_RAYLEIGH = 1
-FAMILY_HARD_DISK = 2
-
-BACKEND = "python"
+from .channel import ConnectivityModel, h_of_d2
 
 
-def pair_graph_stats(pos, u, family, beta, eta, r0):
-    """Return (component_count, min_degree) of the random link graph."""
+def pair_graph_stats(pos, u, model: ConnectivityModel) -> tuple[bool, int]:
+    """Return (connected, min_degree) of the random link graph."""
     n = pos.shape[0]
     if n == 1:
-        return 1, 0
-    d2 = pdist(pos, "sqeuclidean")
-    if family == FAMILY_MIMO:
-        x = beta * d2
-        e = np.exp(-x)
-        hij = e * (x * x + 2.0 - e)
-    elif family == FAMILY_RAYLEIGH:
-        hij = np.exp(-beta * d2) if eta == 2.0 else np.exp(-beta * d2 ** (0.5 * eta))
-    else:
-        hij = (d2 <= r0 * r0).astype(float)
-    linked = u < hij
-    ii, jj = np.triu_indices(n, k=1)
-    ii, jj = ii[linked], jj[linked]
-    degree = np.bincount(ii, minlength=n) + np.bincount(jj, minlength=n)
-    graph = coo_matrix((np.ones(len(ii)), (ii, jj)), shape=(n, n))
-    ncomp = connected_components(graph, directed=False, return_labels=False)
-    return int(ncomp), int(degree.min())
+        return True, 0
+    k = np.flatnonzero(u < h_of_d2(model, pdist(pos, "sqeuclidean")))
+    # Row i of the condensed matrix starts at i*n - i(i+1)/2.
+    rows = np.arange(n - 1)
+    starts = rows * n - rows * (rows + 1) // 2
+    i = np.searchsorted(starts, k, side="right") - 1
+    j = k - starts[i] + i + 1
+    min_degree = int((np.bincount(i, minlength=n) + np.bincount(j, minlength=n)).min())
+    if min_degree == 0:
+        # An isolated node disconnects any graph of two or more nodes.
+        return False, 0
+    adj = np.zeros((n, n), dtype=bool)
+    adj[i, j] = True
+    adj[j, i] = True
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    front = np.zeros(1, dtype=np.intp)
+    while front.size:
+        new = adj[front].any(axis=0) & ~seen
+        seen |= new
+        front = np.flatnonzero(new)
+    return bool(seen.all()), min_degree

@@ -209,9 +209,8 @@ def cmd_simulate(config_path, **params):
         domain = domain_from_spec(_load_spec(domain_spec))
         model = model_from_spec(_load_spec(model_spec))
         workers = threads or os.cpu_count() or 1
-        results = simulator.sweep(
-            domain, model, rhos, trials, seed=seed or DEFAULT_SEED, workers=workers
-        )
+        seed = DEFAULT_SEED if seed is None else seed
+        results = simulator.sweep(domain, model, rhos, trials, seed=seed, workers=workers)
         out_path = _out_dir(out)
         _write_sim_outputs(results, out_path, plot)
         click.echo(f"wrote {out_path / 'simulation.csv'}")
@@ -267,9 +266,8 @@ def cmd_compare(config_path, **params):
         rhos = _parse_sweep(rho_range, rho_list, "rho")
         domain, model, breakdowns = _breakdowns(_load_spec(domain_spec), _load_spec(model_spec), rhos)
         workers = threads or os.cpu_count() or 1
-        results = simulator.sweep(
-            domain, model, rhos, trials, seed=seed or DEFAULT_SEED, workers=workers
-        )
+        seed = DEFAULT_SEED if seed is None else seed
+        results = simulator.sweep(domain, model, rhos, trials, seed=seed, workers=workers)
         out_path = _out_dir(out)
         rows = []
         for b, r in zip(breakdowns, results):

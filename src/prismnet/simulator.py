@@ -1,40 +1,29 @@
 """Monte Carlo estimator of the full-connectivity probability.
 
-Each trial samples N nodes uniformly in the domain, links every pair
-independently with probability H(distance), and decides connectivity of
-the resulting graph.  Trials are fully determined by (seed, trial_index):
+Each trial samples N nodes uniformly in the domain, then draws one uniform
+per node pair, in row-major condensed order, and links the pair when the
+uniform falls below H(distance).  The numpy pair-graph kernel in
+``_kernel_py`` returns the graph's connectivity and minimum degree: it
+stops at an isolated node, and otherwise runs a breadth-first search over
+a dense adjacency.  Trials are fully determined by (seed, trial_index):
 random numbers come from a per-trial generator seeded with that pair, so
 serial, reordered, and parallel execution all produce identical aggregates.
-
-The pair loop runs in a compiled Cython kernel when the extension built,
-with a numpy fallback otherwise; both consume the same random stream and
-give bit-identical outcomes.  Set PRISMNET_BACKEND=python to force the
-fallback.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import HARD_DISK, MIMO_MRC_2X2, RAYLEIGH, ConnectivityModel
+from . import _kernel_py as _kernel
+from .channel import ConnectivityModel
 from .geometry import Domain
 
-if os.environ.get("PRISMNET_BACKEND") == "python":
-    from . import _kernel_py as _kernel
-else:
-    try:
-        from . import _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernel_py as _kernel
-
-BACKEND = _kernel.BACKEND
-
-_FAMILY_CODE = {MIMO_MRC_2X2: 0, RAYLEIGH: 1, HARD_DISK: 2}
+# Names the pair-graph kernel in run manifests.
+BACKEND = "python"
 
 DEFAULT_SEED = 20140904
 
@@ -77,12 +66,7 @@ class SimConfig:
 @dataclass(frozen=True)
 class TrialOutcome:
     connected: bool
-    component_count: int
     min_degree: int
-
-    def __post_init__(self):
-        # connected => single component => no isolated node (for N >= 2).
-        assert self.connected == (self.component_count == 1)
 
 
 @dataclass(frozen=True)
@@ -142,41 +126,8 @@ def run_trial(config: SimConfig, trial_index: int) -> TrialOutcome:
     rng = trial_rng(config.seed, trial_index)
     pos = np.ascontiguousarray(config.domain.sample(n, rng))
     u = rng.random(n * (n - 1) // 2)
-    model = config.model
-    ncomp, mindeg = _kernel.pair_graph_stats(
-        pos, u, _FAMILY_CODE[model.family], model.beta, model.eta, model.r0
-    )
-    return TrialOutcome(connected=ncomp == 1, component_count=ncomp, min_degree=mindeg)
-
-
-def is_connected(adjacency) -> tuple[bool, int, int]:
-    """Exact connectivity of a symmetric 0/1 adjacency matrix.
-
-    Returns (connected, component_count, min_degree) via union-find.
-    """
-    adj = np.asarray(adjacency, dtype=bool)
-    n = adj.shape[0]
-    if adj.shape != (n, n):
-        raise ValueError("adjacency must be square")
-    if not np.array_equal(adj, adj.T) or np.any(np.diag(adj)):
-        raise ValueError("adjacency must be symmetric with an empty diagonal")
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            if adj[i, j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    ncomp = sum(1 for i in range(n) if find(i) == i)
-    min_degree = int(adj.sum(axis=1).min()) if n else 0
-    return ncomp == 1, ncomp, min_degree
+    connected, min_degree = _kernel.pair_graph_stats(pos, u, config.model)
+    return TrialOutcome(connected=connected, min_degree=min_degree)
 
 
 def _count_range(config: SimConfig, start: int, stop: int) -> tuple[int, int]:

@@ -101,6 +101,17 @@ class TestSimulate:
         payload = json.loads((tmp_path / "simulation.json").read_text())
         assert payload[0]["fc_count"] == int(rows[0][3])
 
+    def test_seed_zero_is_kept(self, runner, tmp_path):
+        res = runner.invoke(
+            main,
+            ["simulate", "--domain", '{"kind":"house","L":2.0}', "--model", MODEL,
+             "--rho-list", "1.0", "--trials", "20", "--seed", "0", "--threads", "1",
+             "--out", str(tmp_path)],
+        )
+        assert res.exit_code == 0, res.output
+        payload = json.loads((tmp_path / "simulation.json").read_text())
+        assert payload[0]["seed"] == 0
+
     def test_requires_trials(self, runner, tmp_path):
         res = runner.invoke(
             main,
