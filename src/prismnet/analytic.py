@@ -205,8 +205,8 @@ def assemble_pfc(features: FeatureSet, model: ConnectivityModel, rho: float) -> 
     angle class is present.
     """
     _require_mimo(model)
-    if rho <= 0:
-        raise ValueError("density must be positive")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError("density must be positive and finite")
     beta = model.beta
     terms: list[ContributionTerm] = [
         bulk_term(features.bulk.measure, beta),
@@ -260,10 +260,11 @@ def phase_map(beta: float, rho_grid, L_grid) -> list[tuple[float, float, str]]:
     L_grid = np.asarray(L_grid, dtype=float)
     if rho_grid.size == 0 or L_grid.size == 0:
         raise ValueError("phase-map grids must be non-empty")
-    if np.any(rho_grid <= 0) or np.any(L_grid <= 0) or np.any(np.diff(rho_grid) <= 0) or np.any(
-        np.diff(L_grid) <= 0
+    if not all(
+        np.all(np.isfinite(g)) and np.all(g > 0) and np.all(np.diff(g) > 0)
+        for g in (rho_grid, L_grid)
     ):
-        raise ValueError("phase-map grids must be positive and strictly increasing")
+        raise ValueError("phase-map grids must be finite, positive and strictly increasing")
     from .geometry import build_house
 
     model = ConnectivityModel(MIMO_MRC_2X2, beta, 2.0)

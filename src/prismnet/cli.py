@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -32,18 +33,46 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_CONFIG_ERRORS = (GeometryError, ModelError, SimulationError, json.JSONDecodeError, KeyError)
+_CONFIG_ERRORS = (
+    GeometryError,
+    ModelError,
+    SimulationError,
+    analytic.ClosedFormUnavailableError,
+    json.JSONDecodeError,
+    KeyError,
+)
 
 
 class JobError(click.ClickException):
     exit_code = EXIT_CONFIG
 
 
+def _read_json_file(path: str):
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise JobError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise JobError(f"{path}: invalid JSON: {exc}") from exc
+
+
 def _load_spec(value: str) -> dict:
     value = value.strip()
     if value.startswith("{"):
         return json.loads(value)
-    return json.loads(Path(value).read_text())
+    return _read_json_file(value)
+
+
+def _parse_float(text: str, name: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise JobError(f"--{name}: {text.strip()!r} is not a number") from exc
+    if not math.isfinite(value):
+        raise JobError(f"--{name} values must be finite")
+    return value
 
 
 def _parse_sweep(range_spec: str | None, list_spec: str | None, name: str) -> list[float]:
@@ -53,12 +82,12 @@ def _parse_sweep(range_spec: str | None, list_spec: str | None, name: str) -> li
         parts = range_spec.split(":")
         if len(parts) != 3:
             raise JobError(f"--{name} expects start:stop:step")
-        a, b, step = (float(p) for p in parts)
+        a, b, step = (_parse_float(p, name) for p in parts)
         if step <= 0 or b < a:
             raise JobError(f"--{name} range must be increasing with positive step")
         values = list(np.arange(a, b + 0.5 * step, step))
     elif list_spec:
-        values = [float(v) for v in list_spec.split(",") if v.strip()]
+        values = [_parse_float(v, name) for v in list_spec.split(",") if v.strip()]
     else:
         values = []
     if not values:
@@ -72,7 +101,7 @@ def _apply_config_file(ctx_params: dict, config_path: str | None) -> dict:
     """Merge a JSON config file over the flag values (file wins, with a warning)."""
     if not config_path:
         return ctx_params
-    file_params = json.loads(Path(config_path).read_text())
+    file_params = _read_json_file(config_path)
     merged = dict(ctx_params)
     for key, value in file_params.items():
         key = key.replace("-", "_")

@@ -7,16 +7,17 @@ coordinate patch.  This module evaluates both steps by adaptive quadrature
 so the closed forms can be validated independently, and so models without
 registered closed forms can still be evaluated.
 
-The angular coordinate of each inner integral is pre-integrated
-analytically (the integrands are plain sine/cosine polynomials in it); the
-radial coordinates are integrated numerically with truncation at the radius
-where H drops below ~1e-18.
+Every inner integral is one radial quadrature of H or H' against a
+polynomial weight: the angular and chord coordinates of the wedge, face and
+bulk geometries are integrated by hand (they enter only through sine/cosine
+and polynomial factors), and the radial coordinate is integrated
+numerically with truncation at the radius where H drops below ~1e-18.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -35,41 +36,29 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class IntegralSpec:
-    """Description of one oracle integral, mostly for reporting."""
-
-    kind: str
-    model: ConnectivityModel
-    params: dict = field(default_factory=dict)
-    rel_tol: float = 1e-6
-
-    def __post_init__(self):
-        if not 1e-12 <= self.rel_tol <= 1e-3:
-            raise ValueError("tolerance must lie in [1e-12, 1e-3]")
-
-
 def r_max(model: ConnectivityModel) -> float:
-    """Truncation radius: smallest r with beta * r^eta >= 45 (r0 for hard disk)."""
+    """Truncation radius: smallest r with beta * r^eta >= 50 (r0 for hard disk)."""
     if not model.smooth:
         return model.r0
     return (_EXP_CUTOFF / model.beta) ** (1.0 / model.eta)
 
 
-def _quad(func, a, b, **overrides):
-    opts = {**_QUAD_OPTS, **overrides}
-    val, err = integrate.quad(func, a, b, **opts)
-    budget = max(opts["epsabs"], abs(val) * opts["epsrel"]) * 100.0
+def _quad(func, a, b):
+    val, err = integrate.quad(func, a, b, **_QUAD_OPTS)
+    budget = max(_QUAD_OPTS["epsabs"], abs(val) * _QUAD_OPTS["epsrel"]) * 100.0
     if err > budget and err > 1e-10:
         raise QuadratureError(f"quadrature error {err:.2e} exceeds budget for value {val:.6e}")
     return val
 
 
-def _dblquad(func, ax, bx, ay, by):
-    val, err = integrate.dblquad(func, ax, bx, ay, by, epsabs=1e-11, epsrel=1e-9)
-    if err > max(1e-9, abs(val) * 1e-6):
-        raise QuadratureError(f"2D quadrature error {err:.2e} too large for value {val:.6e}")
-    return val
+def _radial(model: ConnectivityModel, weight, upper: float = math.inf, slope: bool = False):
+    """int_0^upper weight(s) H(s) ds, or H'(s) with ``slope``; upper is capped at r_max."""
+    f = h_prime if slope else h
+    return _quad(lambda s: weight(s) * f(model, s), 0.0, min(upper, r_max(model)))
+
+
+def _square(s):
+    return s * s
 
 
 def _wedge_j_integrals(model: ConnectivityModel, half_z: bool = True):
@@ -78,24 +67,13 @@ def _wedge_j_integrals(model: ConnectivityModel, half_z: bool = True):
     J1 = iint r H(s),  J2 = iint (r z / s) H'(s),  J3 = iint (r^2 / s) H'(s)
     with s = sqrt(r^2 + z^2), over r in [0, inf) and z in [0, inf)
     (``half_z``, corners) or z in (-inf, inf) (edges, which doubles J1 and
-    J3 and kills J2 by symmetry).
+    J3 and kills J2 by symmetry).  In polar coordinates r = s cos(phi),
+    z = s sin(phi) the angle integrates to 1, 1/2 and pi/4, leaving the two
+    radial moments int s^2 H and int s^2 H'.
     """
-    rm = r_max(model)
-
-    def j1(z, r):
-        return r * h(model, math.hypot(r, z))
-
-    def j2(z, r):
-        s = math.hypot(r, z)
-        return 0.0 if s == 0.0 else r * z / s * h_prime(model, s)
-
-    def j3(z, r):
-        s = math.hypot(r, z)
-        return 0.0 if s == 0.0 else r * r / s * h_prime(model, s)
-
-    J1 = _dblquad(j1, 0.0, rm, 0.0, rm)
-    J2 = _dblquad(j2, 0.0, rm, 0.0, rm)
-    J3 = _dblquad(j3, 0.0, rm, 0.0, rm)
+    m0 = _radial(model, _square)
+    m1 = _radial(model, _square, slope=True)
+    J1, J2, J3 = m0, 0.5 * m1, 0.25 * np.pi * m1
     if not half_z:
         return 2.0 * J1, 0.0, 2.0 * J3
     return J1, J2, J3
@@ -157,36 +135,23 @@ def _face_zeroth(R: float, model: ConnectivityModel) -> float:
     """Link mass over the ball of radius R from a probe on its surface.
 
     Spherical-coordinate integral of r1^2 sin(theta) H(dist) with phi
-    pre-integrated; the polar angle is substituted by the chord length u,
-    turning the polar integral into int u H(u) du on [R - r1, R + r1].
+    pre-integrated and the polar angle substituted by the chord length u;
+    for fixed u the radius r1 runs over [|R - u|, R], and int r1 dr1 over
+    it is u (2R - u) / 2, leaving (pi / R) int_0^2R u^2 (2R - u) H(u) du.
     """
-    rm = r_max(model)
-
-    def chord_mass(r1):
-        a = R - r1
-        b = min(R + r1, rm)
-        if a >= b:
-            return 0.0
-        return _quad(lambda u: u * h(model, u), a, b)
-
-    lo = max(0.0, R - rm)
-    return 2.0 * np.pi / R * _quad(lambda r1: r1 * chord_mass(r1), lo, R, limit=300)
+    return np.pi / R * _radial(model, lambda u: u * u * (2.0 * R - u), 2.0 * R)
 
 
 def _face_slope(R: float, model: ConnectivityModel) -> float:
-    """d(inner mass)/d(r2) at r2 = R, from the first-order integrand."""
-    rm = r_max(model)
+    """d(inner mass)/d(r2) at r2 = R, from the first-order integrand.
 
-    def chord(r1):
-        a = R - r1
-        b = min(R + r1, rm)
-        if a >= b:
-            return 0.0
-        gap = (R - r1) * (R + r1)  # R^2 - r1^2 without cancellation
-        return _quad(lambda u: (gap + u * u) * h_prime(model, u), a, b)
-
-    lo = max(0.0, R - rm)
-    return np.pi / R**2 * _quad(lambda r1: r1 * chord(r1), lo, R, limit=300)
+    The chord form has weight r1 (R^2 - r1^2 + u^2) H'(u); over r1 in
+    [|R - u|, R] it integrates to u^2 (4R^2 - u^2) / 4.  Written this way
+    the weight has no cancellation, even at R = 1e6.
+    """
+    return np.pi / (4.0 * R * R) * _radial(
+        model, lambda u: u * u * (4.0 * R * R - u * u), 2.0 * R, slope=True
+    )
 
 
 def inner_face(R: float, model: ConnectivityModel, r2: float | None = None) -> float:
@@ -227,13 +192,9 @@ def inner_bulk(model: ConnectivityModel) -> tuple[float, float]:
     vanishes by symmetry of cos(theta) sin(theta) over [0, pi] and is
     returned so that cancellation can be asserted.
     """
-    rm = r_max(model)
-    zeroth = 4.0 * np.pi * _quad(lambda r: r * r * h(model, r), 0.0, rm)
-    angular = _quad(lambda t: math.cos(t) * math.sin(t), 0.0, np.pi, epsabs=1e-14)
-    if model.smooth:
-        radial = _quad(lambda r: r * r * h_prime(model, r), 0.0, rm)
-    else:
-        radial = 0.0
+    zeroth = 4.0 * np.pi * _radial(model, _square)
+    angular = _quad(lambda t: math.cos(t) * math.sin(t), 0.0, np.pi)
+    radial = _radial(model, _square, slope=True) if model.smooth else 0.0
     first = 2.0 * np.pi * angular * radial
     return zeroth, first
 
@@ -246,8 +207,8 @@ def outer_integral(feature: BoundaryFeature, model: ConnectivityModel, rho: floa
     per-feature outer integral (multiply by rho and the multiplicity for
     the outage contribution).
     """
-    if rho <= 0:
-        raise ValueError("density must be positive")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError("density must be positive and finite")
     if feature.codim == 0:
         zeroth, _ = inner_bulk(model)
         return feature.measure * math.exp(-rho * zeroth)

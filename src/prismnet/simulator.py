@@ -12,6 +12,7 @@ serial, reordered, and parallel execution all produce identical aggregates.
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -46,8 +47,8 @@ class SimConfig:
             raise SimulationError("need at least one trial")
         if (self.rho is None) == (self.n_nodes is None):
             raise SimulationError("give exactly one of rho or n_nodes")
-        if self.rho is not None and self.rho <= 0:
-            raise SimulationError("density must be positive")
+        if self.rho is not None and not (math.isfinite(self.rho) and self.rho > 0):
+            raise SimulationError("density must be positive and finite")
         if self.n == 0:
             raise SimulationError("need at least one node")
 

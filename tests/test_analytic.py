@@ -119,6 +119,11 @@ class TestAssembly:
         with pytest.raises(ClosedFormUnavailableError):
             assemble_pfc(build_house(5.0).features(), rayleigh(1.0), 1.0)
 
+    @pytest.mark.parametrize("rho", [0.0, math.nan, math.inf])
+    def test_bad_density_rejected(self, rho):
+        with pytest.raises(ValueError):
+            assemble_pfc(build_house(5.0).features(), mimo_mrc_2x2(1.0), rho)
+
 
 class TestCone:
     def test_shared_exponent(self):
@@ -193,3 +198,7 @@ class TestDominance:
             phase_map(1.0, [1.0, 0.5], [1.0])
         with pytest.raises(ValueError):
             phase_map(1.0, [], [1.0])
+        with pytest.raises(ValueError):
+            phase_map(1.0, [np.nan], [1.0])
+        with pytest.raises(ValueError):
+            phase_map(1.0, [1.0], [np.inf])

@@ -21,6 +21,13 @@ def runner():
     return CliRunner()
 
 
+def assert_one_line_config_error(res):
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert "Traceback" not in res.output
+    assert len(res.output.strip().splitlines()) == 1, res.output
+
+
 def read_csv(path):
     with open(path) as fh:
         rows = [r for r in csv.reader(fh) if not r or not r[0].startswith("#")]
@@ -192,6 +199,37 @@ class TestConfigAndErrors:
              "--rho-list", "1.0"],
         )
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "sweep", [["--rho-list", "nan"], ["--rho-list", "1.0,inf"], ["--rho", "nan:1:0.1"]]
+    )
+    @pytest.mark.parametrize("command", ["analytic", "simulate"])
+    def test_non_finite_rho_exit_2(self, runner, tmp_path, command, sweep):
+        trials = ["--trials", "10"] if command == "simulate" else []
+        res = runner.invoke(
+            main,
+            [command, "--domain", HOUSE, "--model", MODEL, *sweep, *trials, "--out", str(tmp_path)],
+        )
+        assert_one_line_config_error(res)
+        assert not list(tmp_path.iterdir())
+
+    def test_model_without_closed_form_exit_2(self, runner, tmp_path):
+        res = runner.invoke(
+            main,
+            ["analytic", "--domain", HOUSE, "--model", '{"family":"rayleigh","beta":1.0}',
+             "--rho-list", "1.0", "--out", str(tmp_path)],
+        )
+        assert_one_line_config_error(res)
+        assert "closed-form" in res.output
+
+    @pytest.mark.parametrize("flag", ["--domain", "--model", "--config"])
+    def test_missing_file_exit_2(self, runner, tmp_path, flag):
+        specs = {"--domain": HOUSE, "--model": MODEL}
+        specs[flag] = str(tmp_path / "missing.json")
+        argv = ["analytic", "--rho-list", "1.0", "--out", str(tmp_path)]
+        res = runner.invoke(main, argv + [x for item in specs.items() for x in item])
+        assert_one_line_config_error(res)
+        assert "missing.json" in res.output
 
     def test_env_out_dir(self, runner, tmp_path, monkeypatch):
         env_dir = tmp_path / "env"

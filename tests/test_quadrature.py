@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import integrate
 
 from prismnet import analytic
-from prismnet.channel import bulk_mass, h, hard_disk, mimo_mrc_2x2, rayleigh
+from prismnet.channel import bulk_mass, h, h_prime, hard_disk, mimo_mrc_2x2, rayleigh
 from prismnet.geometry import BoundaryFeature
 from prismnet.quadrature import (
-    IntegralSpec,
     QuadratureError,
+    _face_slope,
+    _face_zeroth,
+    _wedge_j_integrals,
     inner_bulk,
     inner_corner,
     inner_corner_closed_form,
@@ -135,8 +138,9 @@ class TestOuterIntegrals:
     def test_rejects_bad_density(self):
         m = mimo_mrc_2x2(1.0)
         f = BoundaryFeature(codim=0, measure=1.0, solid_angle=4 * np.pi)
-        with pytest.raises(ValueError):
-            outer_integral(f, m, 0.0)
+        for rho in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                outer_integral(f, m, rho)
 
 
 class TestTruncation:
@@ -167,8 +171,68 @@ class TestValidationSuite:
         failing = [r for r in rows if not r.passed]
         assert failing == []
 
-    def test_spec_tolerance_bounds(self):
-        with pytest.raises(ValueError):
-            IntegralSpec("inner_bulk", mimo_mrc_2x2(1.0), rel_tol=1e-2)
-        with pytest.raises(ValueError):
-            IntegralSpec("inner_bulk", mimo_mrc_2x2(1.0), rel_tol=1e-13)
+
+# Reference forms for the radial reductions: the wedge J-integrals as 2-D
+# Cartesian integrals over the (r, z) quarter plane, and the face integrals
+# as nested quadratures over the sphere radius r1 and the chord length u.
+_REF_OPTS = dict(epsabs=1e-13, epsrel=1e-12)
+
+
+def _cartesian_j_integrals(model):
+    rm = r_max(model)
+
+    def j1(z, r):
+        return r * h(model, math.hypot(r, z))
+
+    def j2(z, r):
+        s = math.hypot(r, z)
+        return 0.0 if s == 0.0 else r * z / s * h_prime(model, s)
+
+    def j3(z, r):
+        s = math.hypot(r, z)
+        return 0.0 if s == 0.0 else r * r / s * h_prime(model, s)
+
+    return tuple(integrate.dblquad(f, 0.0, rm, 0.0, rm, **_REF_OPTS)[0] for f in (j1, j2, j3))
+
+
+def _nested_face(R, model, slope):
+    """_face_slope (``slope``) or _face_zeroth as an r1 integral of chord-length integrals."""
+    rm = r_max(model)
+
+    def chord(r1):
+        a, b = R - r1, min(R + r1, rm)
+        if a >= b:
+            return 0.0
+        gap = (R - r1) * (R + r1)  # R^2 - r1^2 without cancellation
+
+        def f(u):
+            return (gap + u * u) * h_prime(model, u) if slope else u * h(model, u)
+
+        return r1 * integrate.quad(f, a, b, limit=200, **_REF_OPTS)[0]
+
+    outer = integrate.quad(chord, max(0.0, R - rm), R, limit=300, **_REF_OPTS)[0]
+    return np.pi / R**2 * outer if slope else 2.0 * np.pi / R * outer
+
+
+MODELS = pytest.mark.parametrize(
+    "model", [mimo_mrc_2x2(1.0), rayleigh(1.0, 3.0)], ids=["mimo", "rayleigh"]
+)
+
+
+class TestRadialReduction:
+    @MODELS
+    def test_wedge_matches_cartesian(self, model):
+        J1, J2, J3 = _wedge_j_integrals(model, half_z=True)
+        assert_allclose((J1, J2, J3), _cartesian_j_integrals(model), rtol=1e-9)
+        assert _wedge_j_integrals(model, half_z=False) == (2.0 * J1, 0.0, 2.0 * J3)
+
+    @pytest.mark.parametrize("R", [0.5, 3.0, 10.0])
+    @MODELS
+    def test_face_matches_nested(self, model, R):
+        assert_allclose(_face_zeroth(R, model), _nested_face(R, model, slope=False), rtol=1e-9)
+        assert_allclose(_face_slope(R, model), _nested_face(R, model, slope=True), rtol=1e-9)
+
+    @pytest.mark.parametrize("R", [0.5, 3.0, 10.0])
+    def test_hard_disk_face_matches_nested(self, R):
+        m = hard_disk(1.0)
+        assert_allclose(_face_zeroth(R, m), _nested_face(R, m, slope=False), rtol=1e-9)

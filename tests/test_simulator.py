@@ -179,8 +179,9 @@ class TestConfig:
             SimConfig(domain=d, model=m, trials=1)
         with pytest.raises(SimulationError):
             SimConfig(domain=d, model=m, trials=1, rho=1.0, n_nodes=5)
-        with pytest.raises(SimulationError):
-            SimConfig(domain=d, model=m, trials=1, rho=-1.0)
+        for rho in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(SimulationError):
+                SimConfig(domain=d, model=m, trials=1, rho=rho)
 
 
 class TestStatistics:
