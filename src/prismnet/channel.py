@@ -39,8 +39,10 @@ class ConnectivityModel:
     def __post_init__(self):
         if self.family not in (MIMO_MRC_2X2, RAYLEIGH, HARD_DISK):
             raise ModelError(f"unknown family {self.family!r}")
-        if self.beta <= 0:
-            raise ModelError("beta must be positive")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ModelError("beta must be positive and finite")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ModelError("eta must be positive and finite")
         if self.family == MIMO_MRC_2X2 and self.eta != 2.0:
             raise ModelError("the 2x2 MIMO MRC closed form requires eta = 2")
         if self.family == RAYLEIGH and self.eta < 2.0:
@@ -69,8 +71,8 @@ def rayleigh(beta: float, eta: float = 2.0) -> ConnectivityModel:
 
 def hard_disk(r0: float) -> ConnectivityModel:
     # Stored with eta = 2 so that beta = r0^-2 keeps r0 = beta^(-1/eta).
-    if r0 <= 0:
-        raise ModelError("hard-disk range must be positive")
+    if not (math.isfinite(r0) and r0 > 0):
+        raise ModelError("hard-disk range must be positive and finite")
     return ConnectivityModel(HARD_DISK, float(r0) ** -2, 2.0)
 
 
@@ -124,11 +126,6 @@ def bulk_mass(model: ConnectivityModel) -> float:
     return 4.0 / 3.0 * np.pi * model.r0**3
 
 
-def sample_link(model: ConnectivityModel, r: float, rng: np.random.Generator) -> bool:
-    """Draw one independent link at distance r."""
-    return bool(rng.random() < h(model, r))
-
-
 def model_from_spec(spec: dict | str) -> ConnectivityModel:
     """Build a model from its JSON specification.
 
@@ -152,6 +149,10 @@ def model_from_spec(spec: dict | str) -> ConnectivityModel:
             return rayleigh(float(spec["beta"]), float(spec.get("eta", 2.0)))
         if family == HARD_DISK:
             return hard_disk(float(spec["r0"]))
+    except ModelError:
+        raise
     except KeyError as exc:
         raise ModelError(f"model spec missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ModelError(f"model spec field is not a number: {exc}") from exc
     raise ModelError(f"unknown model family {family!r}")

@@ -6,6 +6,9 @@ sweep; outputs are CSV files, a JSON mirror for simulation results, and
 optional SVG plots.  Everything is deterministic given the full job spec,
 including the seed.
 
+Each invocation is resolved once into a checked ``Job``: the flags, with a
+``--config`` JSON file laid over them, before any work starts.
+
 Exit codes: 0 ok, 1 validation-suite failure, 2 config error, 3 numeric
 failure.  The output directory can be overridden with PRISMNET_OUT.
 """
@@ -17,14 +20,16 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import analytic, quadrature, simulator, svgplot
-from .channel import ModelError, model_from_spec
-from .geometry import GeometryError, domain_from_spec
+from .channel import ConnectivityModel, ModelError, mimo_mrc_2x2, model_from_spec
+from .geometry import Domain, GeometryError, domain_from_spec
 from .quadrature import QuadratureError
 from .simulator import DEFAULT_SEED, SimulationError
 
@@ -39,12 +44,36 @@ _CONFIG_ERRORS = (
     SimulationError,
     analytic.ClosedFormUnavailableError,
     json.JSONDecodeError,
-    KeyError,
+    click.UsageError,
 )
+_NUMERIC_ERRORS = (QuadratureError, ArithmeticError)
+
+# The JSON types a --config value may take, by the click type of its flag.
+_JSON_TYPES = {"boolean": (bool,), "integer": (int,), "float": (int, float), "text": (str,)}
+_SPEC_KEYS = ("domain_spec", "model_spec")
 
 
 class JobError(click.ClickException):
     exit_code = EXIT_CONFIG
+
+
+class NumericError(click.ClickException):
+    exit_code = EXIT_NUMERIC
+
+
+@dataclass(frozen=True)
+class Job:
+    """One checked invocation; a command reads only the fields it has flags for."""
+
+    out: Path
+    plot: bool = False
+    domain: Domain | None = None
+    model: ConnectivityModel | None = None
+    rhos: tuple[float, ...] = ()
+    lengths: tuple[float, ...] = ()
+    trials: int = 0
+    workers: int = 1
+    seed: int = DEFAULT_SEED
 
 
 def _read_json_file(path: str):
@@ -58,7 +87,11 @@ def _read_json_file(path: str):
         raise JobError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _load_spec(value: str) -> dict:
+def _load_spec(value: str | dict | None, flag: str) -> dict:
+    if not value:
+        raise JobError(f"{flag} is required")
+    if isinstance(value, dict):
+        return value
     value = value.strip()
     if value.startswith("{"):
         return json.loads(value)
@@ -75,7 +108,7 @@ def _parse_float(text: str, name: str) -> float:
     return value
 
 
-def _parse_sweep(range_spec: str | None, list_spec: str | None, name: str) -> list[float]:
+def _parse_sweep(range_spec: str | None, list_spec: str | None, name: str) -> tuple[float, ...]:
     if range_spec and list_spec:
         raise JobError(f"give either --{name} or --{name}-list, not both")
     if range_spec:
@@ -85,39 +118,125 @@ def _parse_sweep(range_spec: str | None, list_spec: str | None, name: str) -> li
         a, b, step = (_parse_float(p, name) for p in parts)
         if step <= 0 or b < a:
             raise JobError(f"--{name} range must be increasing with positive step")
-        values = list(np.arange(a, b + 0.5 * step, step))
+        values = tuple(np.arange(a, b + 0.5 * step, step))
     elif list_spec:
-        values = [_parse_float(v, name) for v in list_spec.split(",") if v.strip()]
+        values = tuple(_parse_float(v, name) for v in list_spec.split(",") if v.strip())
     else:
-        values = []
+        values = ()
     if not values:
         raise JobError(f"empty {name} sweep")
     if any(v <= 0 for v in values):
         raise JobError(f"{name} values must be positive")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise JobError(f"{name} values must be strictly increasing")
     return values
 
 
-def _apply_config_file(ctx_params: dict, config_path: str | None) -> dict:
-    """Merge a JSON config file over the flag values (file wins, with a warning)."""
-    if not config_path:
-        return ctx_params
-    file_params = _read_json_file(config_path)
-    merged = dict(ctx_params)
-    for key, value in file_params.items():
-        key = key.replace("-", "_")
-        if key in merged and merged[key] is not None and merged[key] != value:
-            click.echo(f"warning: config file overrides --{key}", err=True)
-        merged[key] = value
-    return merged
+def _config_value(ctx: click.Context, param: click.Parameter, key: str, value):
+    """One --config value, checked as its flag's value would be."""
+    kind = param.type.name.split()[0]  # "integer range" is checked as an integer
+    if type(value) not in _JSON_TYPES[kind] + ((dict,) if param.name in _SPEC_KEYS else ()):
+        raise JobError(f"config key {key!r}: expected {kind}, got {type(value).__name__}")
+    return value if isinstance(value, dict) else param.type_cast_value(ctx, value)
 
 
-def _out_dir(out: str | None) -> Path:
-    path = Path(os.environ.get("PRISMNET_OUT") or out or ".")
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _merge_config(ctx: click.Context, flags: dict, path: str) -> dict:
+    """Lay the job file's values over the flags (file wins, with a warning)."""
+    data = _read_json_file(path)
+    if not isinstance(data, dict):
+        raise JobError(f"{path}: a job file must hold a JSON object")
+    params = {p.name: p for p in ctx.command.params if p.name in flags}
+    values = {}
+    for key, value in data.items():
+        name = key.replace("-", "_")
+        if name not in params:
+            raise JobError(f"{path}: unknown key {key!r}; allowed: {', '.join(params)}")
+        values[name] = _config_value(ctx, params[name], key, value)
+    for name, value in values.items():
+        if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT and flags[name] != value:
+            click.echo(f"warning: config file overrides {params[name].opts[0]}", err=True)
+    return {**flags, **values}
+
+
+def _resolve(ctx: click.Context, flags: dict) -> Job:
+    """Check every value of one invocation and build its Job."""
+    config_path = flags.pop("config_path")
+    if config_path:
+        flags = _merge_config(ctx, flags, config_path)
+    job = {
+        "out": Path(os.environ.get("PRISMNET_OUT") or flags["out"] or "."),
+        "plot": flags.get("plot", False),
+    }
+    if "domain_spec" in flags:
+        job["domain"] = domain_from_spec(_load_spec(flags["domain_spec"], "--domain"))
+        job["model"] = model_from_spec(_load_spec(flags["model_spec"], "--model"))
+    if "beta" in flags:
+        job["model"] = mimo_mrc_2x2(flags["beta"])
+    if "rho_range" in flags:
+        job["rhos"] = _parse_sweep(flags["rho_range"], flags["rho_list"], "rho")
+    if "l_range" in flags:
+        job["lengths"] = _parse_sweep(flags["l_range"], flags["l_list"], "length")
+    if "trials" in flags:
+        if flags["trials"] is None:
+            raise JobError("--trials is required")
+        job["trials"] = flags["trials"]
+        job["workers"] = flags["threads"] or os.cpu_count() or 1
+        job["seed"] = flags["seed"]
+    return Job(**job)
+
+
+class _Main(click.Group):
+    """Maps bad input to exit 2 and numeric failure to exit 3, each with one line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except _CONFIG_ERRORS as exc:
+            message = exc.format_message() if isinstance(exc, click.ClickException) else str(exc)
+            raise JobError(message) from exc
+        except _NUMERIC_ERRORS as exc:
+            raise NumericError(str(exc)) from exc
+
+
+@click.group(cls=_Main)
+def main():
+    """Connectivity toolkit for networks confined in convex right prisms."""
+
+
+_DOMAIN = click.option("--domain", "domain_spec", help="domain spec: inline JSON or a file path")
+_MODEL = click.option("--model", "model_spec", help="model spec: inline JSON or a file path")
+_RHO = click.option("--rho", "rho_range", help="density sweep start:stop:step")
+_RHO_LIST = click.option("--rho-list", help="comma-separated density list")
+_TRIALS = click.option(
+    "--trials", type=click.IntRange(min=1), help="Monte Carlo trials per density (required)"
+)
+_THREADS = click.option(
+    "--threads", type=click.IntRange(min=1), help="worker processes (default: all cores)"
+)
+_SEED = click.option(
+    "--seed", type=click.IntRange(min=0), default=DEFAULT_SEED, show_default=True, help="RNG seed"
+)
+_OUT = click.option("--out", help="output directory (default cwd; PRISMNET_OUT overrides)")
+_PLOT = click.option("--plot", is_flag=True, help="also emit SVG plots")
+_CONFIG = click.option("--config", "config_path", help="JSON job file; overrides flags")
+
+
+def _command(name: str, *options):
+    """Register a subcommand with these options and --config; it is called with the Job."""
+
+    def register(run):
+        def callback(**flags):
+            run(_resolve(click.get_current_context(), flags))
+
+        for option in reversed((*options, _CONFIG)):
+            callback = option(callback)
+        return main.command(name, help=run.__doc__)(callback)
+
+    return register
 
 
 def _write_csv(path: Path, header: list[str], rows, comments: list[str] = ()):
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
@@ -126,288 +245,163 @@ def _write_csv(path: Path, header: list[str], rows, comments: list[str] = ()):
         writer.writerows(rows)
 
 
-def _breakdowns(domain_spec, model_spec, rho_values):
-    domain = domain_from_spec(domain_spec)
-    model = model_from_spec(model_spec)
-    features = domain.features()
-    return domain, model, [analytic.assemble_pfc(features, model, rho) for rho in rho_values]
+def _breakdowns(job: Job):
+    features = job.domain.features()
+    return [analytic.assemble_pfc(features, job.model, rho) for rho in job.rhos]
 
 
-@click.group()
-def main():
-    """Connectivity toolkit for networks confined in convex right prisms."""
+def _simulate(job: Job):
+    return simulator.sweep(
+        job.domain, job.model, job.rhos, job.trials, seed=job.seed, workers=job.workers
+    )
 
 
-def _common_options(fn):
-    for deco in reversed(
-        [
-            click.option("--domain", "domain_spec", help="domain spec: inline JSON or a file path"),
-            click.option("--model", "model_spec", help="model spec: inline JSON or a file path"),
-            click.option("--rho", "rho_range", help="density sweep start:stop:step"),
-            click.option("--rho-list", help="comma-separated density list"),
-            click.option("--seed", type=int, default=None, help=f"RNG seed (default {DEFAULT_SEED})"),
-            click.option("--out", help="output directory (default cwd; PRISMNET_OUT overrides)"),
-            click.option("--plot", is_flag=True, default=None, help="also emit SVG plots"),
-            click.option("--config", "config_path", help="JSON job file; overrides flags"),
-        ]
-    ):
-        fn = deco(fn)
-    return fn
+def _add_simulation(fig: svgplot.Figure, results):
+    rhos, p_out = [r.rho for r in results], [r.p_out_hat for r in results]
+    fig.add(rhos, p_out, "simulation", style="dots", yerr=[r.std_err for r in results])
 
 
-def _run(fn, **params):
-    try:
-        return fn(**params)
-    except JobError:
-        raise
-    except _CONFIG_ERRORS as exc:
-        raise JobError(str(exc)) from exc
-    except (QuadratureError, FloatingPointError, ArithmeticError) as exc:
-        err = click.ClickException(str(exc))
-        err.exit_code = EXIT_NUMERIC
-        raise err from exc
-
-
-@main.command("analytic")
-@_common_options
-def cmd_analytic(config_path, **params):
+@_command("analytic", _DOMAIN, _MODEL, _RHO, _RHO_LIST, _OUT, _PLOT)
+def cmd_analytic(job: Job):
     """Closed-form outage breakdown over a density sweep."""
+    breakdowns = _breakdowns(job)
+    labels = sorted(
+        {t.label for t in breakdowns[0].terms},
+        key=lambda lab: ([t.codim for t in breakdowns[0].terms if t.label == lab][0], lab),
+    )
+    rows = []
+    for b in breakdowns:
+        vals = b.group_values()
+        rows.append([b.rho] + [vals[lab] for lab in labels] + [b.p_out_raw, b.p_fc])
+    _write_csv(job.out / "analytic_components.csv", ["rho", *labels, "total", "p_fc"], rows)
 
-    def job(domain_spec, model_spec, rho_range, rho_list, seed, out, plot):
-        if not domain_spec or not model_spec:
-            raise JobError("--domain and --model are required")
-        rhos = _parse_sweep(rho_range, rho_list, "rho")
-        _, _, breakdowns = _breakdowns(_load_spec(domain_spec), _load_spec(model_spec), rhos)
-        out_path = _out_dir(out)
-
-        labels = sorted(
-            {t.label for t in breakdowns[0].terms},
-            key=lambda lab: ([t.codim for t in breakdowns[0].terms if t.label == lab][0], lab),
+    long_rows = [
+        [b.rho, t.label, t.multiplicity, t.prefactor, t.exponent_rate, t.contribution(b.rho)]
+        + [b.p_out_raw, b.p_fc]
+        for b in breakdowns
+        for t in b.terms
+    ]
+    _write_csv(
+        job.out / "analytic_breakdown.csv",
+        ["rho", "label", "multiplicity", "prefactor", "exponent_rate", "value", "p_out", "p_fc"],
+        long_rows,
+    )
+    if job.plot:
+        fig = svgplot.Figure(
+            title="analytic outage components", x_label="node density", y_label="P_out"
         )
-        rows = []
-        for b in breakdowns:
-            vals = b.group_values()
-            rows.append([b.rho] + [vals[lab] for lab in labels] + [b.p_out_raw, b.p_fc])
-        _write_csv(out_path / "analytic_components.csv", ["rho", *labels, "total", "p_fc"], rows)
-
-        long_rows = [
-            [
-                b.rho,
-                t.label,
-                t.multiplicity,
-                t.prefactor,
-                t.exponent_rate,
-                t.contribution(b.rho),
-                b.p_out_raw,
-                b.p_fc,
-            ]
-            for b in breakdowns
-            for t in b.terms
-        ]
-        _write_csv(
-            out_path / "analytic_breakdown.csv",
-            ["rho", "label", "multiplicity", "prefactor", "exponent_rate", "value", "p_out", "p_fc"],
-            long_rows,
-        )
-        if plot:
-            fig = svgplot.Figure(
-                title="analytic outage components", x_label="node density", y_label="P_out"
-            )
-            for lab in labels:
-                fig.add([b.rho for b in breakdowns], [b.group_values()[lab] for b in breakdowns], lab)
-            fig.add([b.rho for b in breakdowns], [b.p_out_raw for b in breakdowns], "total")
-            fig.write(out_path / "analytic_components.svg")
-        click.echo(f"wrote {out_path / 'analytic_components.csv'}")
-
-    _run(job, **_apply_config_file(params, config_path))
+        for lab in labels:
+            fig.add([b.rho for b in breakdowns], [b.group_values()[lab] for b in breakdowns], lab)
+        fig.add([b.rho for b in breakdowns], [b.p_out_raw for b in breakdowns], "total")
+        fig.write(job.out / "analytic_components.svg")
+    click.echo(f"wrote {job.out / 'analytic_components.csv'}")
 
 
-@main.command("simulate")
-@_common_options
-@click.option("--trials", type=int, default=None, help="Monte Carlo trials per density")
-@click.option("--threads", type=int, default=None, help="worker processes (default: all cores)")
-def cmd_simulate(config_path, **params):
+_SIM_OPTIONS = (_DOMAIN, _MODEL, _RHO, _RHO_LIST, _SEED, _OUT, _PLOT, _TRIALS, _THREADS)
+
+
+@_command("simulate", *_SIM_OPTIONS)
+def cmd_simulate(job: Job):
     """Monte Carlo outage estimates over a density sweep."""
-
-    def job(domain_spec, model_spec, rho_range, rho_list, seed, out, plot, trials, threads):
-        if not domain_spec or not model_spec:
-            raise JobError("--domain and --model are required")
-        if not trials or trials < 1:
-            raise JobError("--trials must be a positive integer")
-        rhos = _parse_sweep(rho_range, rho_list, "rho")
-        domain = domain_from_spec(_load_spec(domain_spec))
-        model = model_from_spec(_load_spec(model_spec))
-        workers = threads or os.cpu_count() or 1
-        seed = DEFAULT_SEED if seed is None else seed
-        results = simulator.sweep(domain, model, rhos, trials, seed=seed, workers=workers)
-        out_path = _out_dir(out)
-        _write_sim_outputs(results, out_path, plot)
-        click.echo(f"wrote {out_path / 'simulation.csv'}")
-
-    _run(job, **_apply_config_file(params, config_path))
-
-
-def _write_sim_outputs(results, out_path, plot, name="simulation"):
+    results = _simulate(job)
     rows = [
-        [
-            r.rho,
-            r.n,
-            r.n_trials,
-            r.fc_count,
-            r.p_fc_hat,
-            r.std_err,
-            r.p_min_deg_hat,
-            r.wall_time,
-        ]
+        [r.rho, r.n, r.n_trials, r.fc_count, r.p_fc_hat, r.std_err, r.p_min_deg_hat, r.wall_time]
         for r in results
     ]
     _write_csv(
-        out_path / f"{name}.csv",
+        job.out / "simulation.csv",
         ["rho", "N", "trials", "fc_count", "p_fc_hat", "std_err", "p_min_deg_hat", "wall_time_s"],
         rows,
     )
-    with open(out_path / f"{name}.json", "w") as fh:
+    with open(job.out / "simulation.json", "w") as fh:
         json.dump([r.to_dict() for r in results], fh, indent=2)
-    if plot:
+    if job.plot:
         fig = svgplot.Figure(title="simulated outage", x_label="node density", y_label="P_out")
-        fig.add(
-            [r.rho for r in results],
-            [r.p_out_hat for r in results],
-            "simulation",
-            style="dots",
-            yerr=[r.std_err for r in results],
-        )
-        fig.write(out_path / f"{name}.svg")
+        _add_simulation(fig, results)
+        fig.write(job.out / "simulation.svg")
+    click.echo(f"wrote {job.out / 'simulation.csv'}")
 
 
-@main.command("compare")
-@_common_options
-@click.option("--trials", type=int, default=None, help="Monte Carlo trials per density")
-@click.option("--threads", type=int, default=None, help="worker processes (default: all cores)")
-def cmd_compare(config_path, **params):
+@_command("compare", *_SIM_OPTIONS)
+def cmd_compare(job: Job):
     """Analytic vs simulated outage on the same sweep, with z-scores."""
-
-    def job(domain_spec, model_spec, rho_range, rho_list, seed, out, plot, trials, threads):
-        if not domain_spec or not model_spec:
-            raise JobError("--domain and --model are required")
-        if not trials or trials < 1:
-            raise JobError("--trials must be a positive integer")
-        rhos = _parse_sweep(rho_range, rho_list, "rho")
-        domain, model, breakdowns = _breakdowns(_load_spec(domain_spec), _load_spec(model_spec), rhos)
-        workers = threads or os.cpu_count() or 1
-        seed = DEFAULT_SEED if seed is None else seed
-        results = simulator.sweep(domain, model, rhos, trials, seed=seed, workers=workers)
-        out_path = _out_dir(out)
-        rows = []
-        for b, r in zip(breakdowns, results):
-            if 0 < r.fc_count < r.n_trials:
-                z = (r.p_out_hat - b.p_out_raw) / r.std_err
-            else:
-                z = float("nan")
-            rows.append(
-                [b.rho, r.n, b.p_out_raw, r.p_out_hat, r.std_err, z, r.n_trials, r.fc_count]
-            )
-        _write_csv(
-            out_path / "compare.csv",
-            ["rho", "N", "p_out_analytic", "p_out_sim", "std_err", "z_score", "trials", "fc_count"],
-            rows,
+    breakdowns = _breakdowns(job)
+    results = _simulate(job)
+    rows = []
+    for b, r in zip(breakdowns, results):
+        if 0 < r.fc_count < r.n_trials:
+            z = (r.p_out_hat - b.p_out_raw) / r.std_err
+        else:
+            z = float("nan")
+        rows.append([b.rho, r.n, b.p_out_raw, r.p_out_hat, r.std_err, z, r.n_trials, r.fc_count])
+    _write_csv(
+        job.out / "compare.csv",
+        ["rho", "N", "p_out_analytic", "p_out_sim", "std_err", "z_score", "trials", "fc_count"],
+        rows,
+    )
+    if job.plot:
+        fig = svgplot.Figure(
+            title="analytic vs simulation", x_label="node density", y_label="P_out"
         )
-        if plot:
-            fig = svgplot.Figure(
-                title="analytic vs simulation", x_label="node density", y_label="P_out"
-            )
-            fig.add([b.rho for b in breakdowns], [b.p_out_raw for b in breakdowns], "analytic")
-            fig.add(
-                [r.rho for r in results],
-                [r.p_out_hat for r in results],
-                "simulation",
-                style="dots",
-                yerr=[r.std_err for r in results],
-            )
-            fig.write(out_path / "compare.svg")
-        click.echo(f"wrote {out_path / 'compare.csv'}")
-
-    _run(job, **_apply_config_file(params, config_path))
+        fig.add([b.rho for b in breakdowns], [b.p_out_raw for b in breakdowns], "analytic")
+        _add_simulation(fig, results)
+        fig.write(job.out / "compare.svg")
+    click.echo(f"wrote {job.out / 'compare.csv'}")
 
 
-@main.command("phase-map")
-@click.option("--beta", type=float, default=1.0, show_default=True)
-@click.option("--rho", "rho_range", help="density grid start:stop:step")
-@click.option("--rho-list", help="comma-separated density grid")
-@click.option("--length", "l_range", help="house-side grid start:stop:step")
-@click.option("--length-list", "l_list", help="comma-separated house-side grid")
-@click.option("--out", help="output directory")
-@click.option("--plot", is_flag=True, default=None)
-@click.option("--config", "config_path", help="JSON job file; overrides flags")
-def cmd_phase_map(config_path, **params):
+@_command(
+    "phase-map",
+    click.option("--beta", type=float, default=1.0, show_default=True, help="MIMO link beta"),
+    _RHO,
+    _RHO_LIST,
+    click.option("--length", "l_range", help="house-side grid start:stop:step"),
+    click.option("--length-list", "l_list", help="comma-separated house-side grid"),
+    _OUT,
+    _PLOT,
+)
+def cmd_phase_map(job: Job):
     """Dominant-component map over the (rho, L) plane for the house prism."""
-
-    def job(beta, rho_range, rho_list, l_range, l_list, out, plot):
-        rhos = _parse_sweep(rho_range, rho_list, "rho")
-        lengths = _parse_sweep(l_range, l_list, "length")
-        cells = analytic.phase_map(beta, rhos, lengths)
-        out_path = _out_dir(out)
-        _write_csv(
-            out_path / "phase_map.csv",
-            ["rho", "L", "dominant_label"],
-            cells,
-            comments=[f"grid {len(rhos)}x{len(lengths)} (rho x L), beta={beta}"],
-        )
-        if plot:
-            svgplot.phase_map_svg(cells, out_path / "phase_map.svg")
-        click.echo(f"wrote {out_path / 'phase_map.csv'}")
-
-    _run(job, **_apply_config_file(params, config_path))
+    cells = analytic.phase_map(job.model.beta, job.rhos, job.lengths)
+    _write_csv(
+        job.out / "phase_map.csv",
+        ["rho", "L", "dominant_label"],
+        cells,
+        comments=[f"grid {len(job.rhos)}x{len(job.lengths)} (rho x L), beta={job.model.beta}"],
+    )
+    if job.plot:
+        svgplot.phase_map_svg(cells, job.out / "phase_map.svg")
+    click.echo(f"wrote {job.out / 'phase_map.csv'}")
 
 
-@main.command("validate")
-@click.option("--out", help="output directory")
-@click.option("--config", "config_path", help="JSON job file; overrides flags")
-def cmd_validate(config_path, **params):
+@_command("validate", _OUT)
+def cmd_validate(job: Job):
     """Quadrature-oracle vs closed-form report; exit 1 on any failing row."""
-
-    def job(out):
-        rows = quadrature.validation_suite()
-        out_path = _out_dir(out)
-        _write_csv(
-            out_path / "validation.csv",
-            ["kind", "parameters", "closed_form", "quadrature", "rel_error", "pass"],
-            [
-                [
-                    r.kind,
-                    json.dumps(r.params),
-                    r.closed_form,
-                    r.quadrature,
-                    r.rel_error,
-                    "pass" if r.passed else "fail",
-                ]
-                for r in rows
-            ],
-        )
-        # Informational corner-vs-cone shape comparison table.
-        thetas = np.linspace(np.pi / 4, 3 * np.pi / 4, 21)
-        _write_csv(
-            out_path / "corner_vs_cone.csv",
-            ["theta", "f_corner", "f_cone", "ratio"],
-            [
-                [
-                    t,
-                    analytic.corner_shape_function(t),
-                    analytic.cone_shape_function(t),
-                    analytic.corner_shape_function(t) / analytic.cone_shape_function(t),
-                ]
-                for t in thetas
-            ],
-        )
-        failures = [r for r in rows if not r.passed]
-        for r in rows:
-            status = "pass" if r.passed else "FAIL"
-            click.echo(f"{status}  {r.kind}  rel_error={r.rel_error:.3e}  tol={r.rel_tol:.0e}")
-        if failures:
-            sys.exit(EXIT_VALIDATION)
-        click.echo(f"wrote {out_path / 'validation.csv'}")
-
-    _run(job, **_apply_config_file(params, config_path))
+    rows = quadrature.validation_suite()
+    _write_csv(
+        job.out / "validation.csv",
+        ["kind", "parameters", "closed_form", "quadrature", "rel_error", "pass"],
+        [
+            [r.kind, json.dumps(r.params), r.closed_form, r.quadrature, r.rel_error]
+            + ["pass" if r.passed else "fail"]
+            for r in rows
+        ],
+    )
+    # Informational corner-vs-cone shape comparison table.
+    shapes = [
+        [t, analytic.corner_shape_function(t), analytic.cone_shape_function(t)]
+        for t in np.linspace(np.pi / 4, 3 * np.pi / 4, 21)
+    ]
+    _write_csv(
+        job.out / "corner_vs_cone.csv",
+        ["theta", "f_corner", "f_cone", "ratio"],
+        [[t, corner, cone, corner / cone] for t, corner, cone in shapes],
+    )
+    for r in rows:
+        status = "pass" if r.passed else "FAIL"
+        click.echo(f"{status}  {r.kind}  rel_error={r.rel_error:.3e}  tol={r.rel_tol:.0e}")
+    if not all(r.passed for r in rows):
+        sys.exit(EXIT_VALIDATION)
+    click.echo(f"wrote {job.out / 'validation.csv'}")
 
 
 if __name__ == "__main__":

@@ -37,6 +37,8 @@ class Polygon2D:
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise GeometryError("polygon needs at least 3 two-dimensional vertices")
+        if not np.all(np.isfinite(v)):
+            raise GeometryError("polygon vertices must be finite")
         scale = float(np.max(np.abs(v))) or 1.0
         edges = np.roll(v, -1, axis=0) - v
         if np.any(np.hypot(edges[:, 0], edges[:, 1]) <= _VERTEX_TOL * scale):
@@ -152,9 +154,6 @@ class Domain:
         """Draw n points uniformly over the volume, shape (n, 3)."""
         raise NotImplementedError
 
-    def sample_uniform(self, rng: np.random.Generator) -> np.ndarray:
-        return self.sample(1, rng)[0]
-
     def to_spec(self) -> dict:
         raise NotImplementedError
 
@@ -213,11 +212,14 @@ def _prism_features(base: Polygon2D, height: float, volume: float, area: float) 
 
 
 def _sample_triangle(a, b, c, u1, u2):
-    """Uniform points in triangle abc by the reflection method."""
+    """Uniform points in triangle abc by the reflection method.
+
+    a, b, c are one vertex each, shape (2,), or one row per point, shape (n, 2).
+    """
     over = u1 + u2 > 1.0
-    u1 = np.where(over, 1.0 - u1, u1)
-    u2 = np.where(over, 1.0 - u2, u2)
-    return a + np.outer(u1, b - a) + np.outer(u2, c - a)
+    u1 = np.where(over, 1.0 - u1, u1)[:, None]
+    u2 = np.where(over, 1.0 - u2, u2)[:, None]
+    return a + u1 * (b - a) + u2 * (c - a)
 
 
 class RightPrism(Domain):
@@ -226,8 +228,8 @@ class RightPrism(Domain):
     kind = "prism"
 
     def __init__(self, base: Polygon2D, height: float):
-        if height <= 0:
-            raise GeometryError("prism height must be positive")
+        if not (math.isfinite(height) and height > 0):
+            raise GeometryError("prism height must be positive and finite")
         self.base = base
         self.height = float(height)
         # Fan triangulation for exact uniform sampling over the base.
@@ -236,8 +238,11 @@ class RightPrism(Domain):
         areas = np.array(
             [abs((b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0]) * 0.5 for a, b, c in tris]
         )
-        self._tris = tris
-        self._tri_weights = areas / areas.sum()
+        # Vertex rows of the fan, shape (3, triangles, 2), and the normalised
+        # cumulative area weights, computed as Generator.choice(p=...) does.
+        self._tris = np.array(tris).transpose(1, 0, 2)
+        cdf = (areas / areas.sum()).cumsum()
+        self._tri_cdf = cdf / cdf[-1]
 
     @property
     def volume(self) -> float:
@@ -259,14 +264,10 @@ class RightPrism(Domain):
         return bool(ok[0]) if single else ok
 
     def sample(self, n, rng):
-        idx = rng.choice(len(self._tris), size=n, p=self._tri_weights)
-        u1 = rng.random(n)
-        u2 = rng.random(n)
-        xy = np.empty((n, 2))
-        for t, (a, b, c) in enumerate(self._tris):
-            sel = idx == t
-            if np.any(sel):
-                xy[sel] = _sample_triangle(a, b, c, u1[sel], u2[sel])
+        # The same draws as rng.choice(triangles, size=n, p=weights).
+        idx = self._tri_cdf.searchsorted(rng.random(n), side="right")
+        a, b, c = self._tris[:, idx]
+        xy = _sample_triangle(a, b, c, rng.random(n), rng.random(n))
         z = rng.random(n) * self.height
         return np.column_stack([xy, z])
 
@@ -299,8 +300,8 @@ class House(Domain):
     kind = "house"
 
     def __init__(self, L: float):
-        if L <= 0:
-            raise GeometryError("house side length must be positive")
+        if not (math.isfinite(L) and L > 0):
+            raise GeometryError("house side length must be positive and finite")
         self.L = float(L)
 
     @property
@@ -359,8 +360,8 @@ class HalfCylinder(Domain):
     kind = "half_cylinder"
 
     def __init__(self, radius: float, height: float):
-        if radius <= 0 or height <= 0:
-            raise GeometryError("half-cylinder radius and height must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (radius, height)):
+            raise GeometryError("half-cylinder radius and height must be positive and finite")
         self.radius = float(radius)
         self.height = float(height)
 
@@ -446,6 +447,10 @@ def domain_from_spec(spec: dict | str) -> Domain:
             return build_half_cylinder(float(spec["r"]), float(spec["h"]))
         if kind == "prism":
             return build_right_prism(Polygon2D(spec["base"]), float(spec["height"]))
+    except GeometryError:
+        raise
     except KeyError as exc:
         raise GeometryError(f"domain spec missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise GeometryError(f"domain spec field is not a number: {exc}") from exc
     raise GeometryError(f"unknown domain kind {kind!r}")

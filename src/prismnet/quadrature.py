@@ -69,10 +69,11 @@ def _wedge_j_integrals(model: ConnectivityModel, half_z: bool = True):
     (``half_z``, corners) or z in (-inf, inf) (edges, which doubles J1 and
     J3 and kills J2 by symmetry).  In polar coordinates r = s cos(phi),
     z = s sin(phi) the angle integrates to 1, 1/2 and pi/4, leaving the two
-    radial moments int s^2 H and int s^2 H'.
+    radial moments int s^2 H and int s^2 H'.  A model without H' (hard disk)
+    gets J2 = J3 = 0, which serves only the probe at the apex.
     """
     m0 = _radial(model, _square)
-    m1 = _radial(model, _square, slope=True)
+    m1 = _radial(model, _square, slope=True) if model.smooth else 0.0
     J1, J2, J3 = m0, 0.5 * m1, 0.25 * np.pi * m1
     if not half_z:
         return 2.0 * J1, 0.0, 2.0 * J3
@@ -119,6 +120,8 @@ def inner_edge(
     """First-order link mass near an edge interior (z-range doubled, no z2 term)."""
     if not 0.0 < theta < np.pi:
         raise ValueError("edge angle must lie in (0, pi)")
+    if not model.smooth and r2:
+        raise ModelError("first-order terms need a differentiable H")
     J1, _, J3 = _wedge_j_integrals(model, half_z=False)
     ang = math.sin(theta2) + math.sin(theta - theta2)
     return theta * J1 - r2 * ang * J3
@@ -209,6 +212,8 @@ def outer_integral(feature: BoundaryFeature, model: ConnectivityModel, rho: floa
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("density must be positive and finite")
+    if feature.codim and not model.smooth:
+        raise ModelError("boundary outer integrals need a differentiable H")
     if feature.codim == 0:
         zeroth, _ = inner_bulk(model)
         return feature.measure * math.exp(-rho * zeroth)

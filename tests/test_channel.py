@@ -17,7 +17,6 @@ from prismnet.channel import (
     mimo_mrc_2x2,
     model_from_spec,
     rayleigh,
-    sample_link,
 )
 
 
@@ -98,14 +97,6 @@ class TestHardDisk:
 
 
 class TestSampling:
-    def test_link_rate(self):
-        m = mimo_mrc_2x2(1.0)
-        rng = np.random.default_rng(5)
-        n = 100_000
-        hits = sum(sample_link(m, 1.0, rng) for _ in range(n))
-        p = h(m, 1.0)
-        assert abs(hits / n - p) < 4 * math.sqrt(p * (1 - p) / n)
-
     def test_h_of_d2_matches_h(self):
         for m in (mimo_mrc_2x2(0.8), rayleigh(1.0, 3.0), hard_disk(1.5)):
             r = np.linspace(0.0, 4.0, 100)
@@ -128,3 +119,19 @@ class TestSpecs:
             model_from_spec({"beta": 1.0})
         with pytest.raises(ModelError):
             mimo_mrc_2x2(-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ModelError):
+                mimo_mrc_2x2(bad)
+            with pytest.raises(ModelError):
+                rayleigh(1.0, bad)
+            with pytest.raises(ModelError):
+                hard_disk(bad)
+        with pytest.raises(ModelError):
+            hard_disk(0.0)
+        for spec in (
+            {"family": "mimo_mrc_2x2", "beta": "x"},
+            {"family": "rayleigh", "beta": [1.0]},
+            {"family": "hard_disk", "r0": {}},
+        ):
+            with pytest.raises(ModelError):
+                model_from_spec(spec)

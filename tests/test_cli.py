@@ -2,9 +2,12 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from prismnet import analytic
@@ -14,6 +17,54 @@ from prismnet.geometry import build_house
 
 HOUSE = '{"kind":"house","L":5.0}'
 MODEL = '{"family":"mimo_mrc_2x2","beta":1.0}'
+
+# Valid flags of every command; the bad-input cases below change one thing.
+VALID_FLAGS = {
+    "analytic": {"--domain": HOUSE, "--model": MODEL, "--rho-list": "1.0"},
+    "simulate": {
+        "--domain": '{"kind":"house","L":2.0}',
+        "--model": MODEL,
+        "--rho-list": "1.0",
+        "--trials": "10",
+        "--threads": "1",
+    },
+    "phase-map": {"--rho-list": "1.0", "--length-list": "3"},
+    "validate": {},
+}
+VALID_FLAGS["compare"] = VALID_FLAGS["simulate"]
+ALL_COMMANDS = tuple(VALID_FLAGS)
+SWEEP_COMMANDS = ("analytic", "simulate", "compare", "phase-map")
+SPEC_COMMANDS = ("analytic", "simulate", "compare")
+SIM_COMMANDS = ("simulate", "compare")
+
+# (id, commands, flags changed (None drops one), job file content or None, message fragment)
+BAD_INPUTS = [
+    ("unknown-key", ALL_COMMANDS, {}, {"bogus": 1}, "unknown key 'bogus'"),
+    ("config-not-object", ALL_COMMANDS, {}, [1], "JSON object"),
+    ("rho-list-as-list", SWEEP_COMMANDS, {}, {"rho_list": [1, 2]}, "'rho_list'"),
+    ("trials-as-string", SIM_COMMANDS, {}, {"trials": "10"}, "'trials'"),
+    ("trials-as-float", SIM_COMMANDS, {}, {"trials": 2.5}, "'trials'"),
+    ("trials-zero-in-file", SIM_COMMANDS, {}, {"trials": 0}, "--trials"),
+    ("bad-domain-object", SPEC_COMMANDS, {"--domain": None}, {"domain_spec": {"kind": "torus"}},
+     "torus"),
+    ("threads-zero", SIM_COMMANDS, {"--threads": "0"}, None, "--threads"),
+    ("threads-negative", SIM_COMMANDS, {"--threads": "-1"}, None, "--threads"),
+    ("seed-negative", SIM_COMMANDS, {"--seed": "-1"}, None, "--seed"),
+    ("analytic-seed-flag", ("analytic",), {"--seed": "3"}, None, "--seed"),
+    ("analytic-seed-key", ("analytic",), {}, {"seed": 3}, "unknown key 'seed'"),
+    ("decreasing-rho", ("analytic",), {"--rho-list": "1,0.5"}, None, "increasing"),
+    ("model-beta-nan", SPEC_COMMANDS, {"--model": '{"family":"mimo_mrc_2x2","beta":NaN}'}, None,
+     "beta"),
+    ("model-beta-inf", SPEC_COMMANDS,
+     {"--model": '{"family":"mimo_mrc_2x2","beta":Infinity}'}, None, "beta"),
+    ("hard-disk-r0-inf", SIM_COMMANDS, {"--model": '{"family":"hard_disk","r0":Infinity}'}, None,
+     "range"),
+    ("phase-map-beta-nan", ("phase-map",), {"--beta": "nan"}, None, "beta"),
+    ("house-L-nan", SPEC_COMMANDS, {"--domain": '{"kind":"house","L":NaN}'}, None, "side length"),
+    ("house-L-text", SPEC_COMMANDS, {"--domain": '{"kind":"house","L":"x"}'}, None, "not a number"),
+    ("prism-base-text", SPEC_COMMANDS,
+     {"--domain": '{"kind":"prism","base":"x","height":1}'}, None, "not a number"),
+]
 
 
 @pytest.fixture
@@ -231,6 +282,38 @@ class TestConfigAndErrors:
         assert_one_line_config_error(res)
         assert "missing.json" in res.output
 
+    @pytest.mark.parametrize(
+        "command, flags, config, message",
+        [
+            pytest.param(cmd, flags, config, message, id=f"{case}-{cmd}")
+            for case, commands, flags, config, message in BAD_INPUTS
+            for cmd in commands
+        ],
+    )
+    def test_bad_input_exit_2(self, runner, tmp_path, command, flags, config, message):
+        argv = [command]
+        for flag, value in {**VALID_FLAGS[command], **flags}.items():
+            argv += [flag, value] if value is not None else []
+        if config is not None:
+            (tmp_path / "job.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "job.json")]
+        res = runner.invoke(main, argv + ["--out", str(tmp_path / "out")])
+        assert_one_line_config_error(res)
+        assert message in res.output
+        assert not (tmp_path / "out").exists()
+
+    def test_config_spec_objects(self, runner, tmp_path):
+        cfg = tmp_path / "job.json"
+        specs = {"domain_spec": json.loads(HOUSE), "model-spec": json.loads(MODEL)}
+        cfg.write_text(json.dumps(specs))
+        argv = ["analytic", "--rho-list", "1.0", "--out"]
+        res = runner.invoke(main, argv + [str(tmp_path / "a"), "--config", str(cfg)])
+        assert res.exit_code == 0, res.output
+        res = runner.invoke(main, argv + [str(tmp_path / "b"), "--domain", HOUSE, "--model", MODEL])
+        assert res.exit_code == 0, res.output
+        a = (tmp_path / "a" / "analytic_components.csv").read_bytes()
+        assert a == (tmp_path / "b" / "analytic_components.csv").read_bytes()
+
     def test_env_out_dir(self, runner, tmp_path, monkeypatch):
         env_dir = tmp_path / "env"
         monkeypatch.setenv("PRISMNET_OUT", str(env_dir))
@@ -251,3 +334,41 @@ class TestValidate:
         cc_header, cc_rows = read_csv(tmp_path / "corner_vs_cone.csv")
         assert cc_header == ["theta", "f_corner", "f_cone", "ratio"]
         assert len(cc_rows) == 21
+
+
+# Strings carry no "/" or "{", so a spec string never names a file outside the
+# run's temporary directory and is never read as inline JSON.
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(alphabet="0123456789.,:-ex", max_size=6)
+)
+
+
+def json_containers(inner):
+    return st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+
+
+JSON_VALUES = st.recursive(JSON_SCALARS, json_containers, max_leaves=6)
+CONFIG_KEYS = st.sampled_from(
+    ["domain_spec", "model-spec", "rho_range", "rho_list", "out", "plot", "seed", "trials", "beta"]
+) | st.text(max_size=8)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.dictionaries(CONFIG_KEYS, JSON_VALUES, max_size=4))
+def test_any_config_object_exits_0_or_2(config):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("job.json").write_text(json.dumps(config))
+        res = runner.invoke(
+            main,
+            ["analytic", "--domain", HOUSE, "--model", MODEL, "--rho-list", "1.0",
+             "--config", "job.json"],
+            env={"PRISMNET_OUT": "out"},
+        )
+    assert res.exit_code in (0, 2), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    assert "Traceback" not in res.output

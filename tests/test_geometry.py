@@ -189,3 +189,23 @@ class TestSpecs:
             build_house(-1.0)
         with pytest.raises(GeometryError):
             build_half_cylinder(1.0, 0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(GeometryError):
+                build_house(bad)
+            with pytest.raises(GeometryError):
+                build_half_cylinder(bad, 1.0)
+            with pytest.raises(GeometryError):
+                build_half_cylinder(1.0, bad)
+            with pytest.raises(GeometryError):
+                build_right_prism(Polygon2D([[0, 0], [1, 0], [0, 1]]), bad)
+            with pytest.raises(GeometryError):
+                Polygon2D([[0, 0], [1, 0], [bad, 1]])
+        for spec in (
+            {"kind": "house", "L": "x"},
+            {"kind": "half_cylinder", "r": [1.0], "h": 1.0},
+            {"kind": "prism", "base": "x", "height": 1.0},
+            {"kind": "prism", "base": [[0, 0], [1, 0], [0]], "height": 1.0},
+            {"kind": "prism", "base": [[0, 0], [1, 0], [0, 1]], "height": "x"},
+        ):
+            with pytest.raises(GeometryError):
+                domain_from_spec(spec)

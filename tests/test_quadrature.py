@@ -8,7 +8,15 @@ from numpy.testing import assert_allclose
 from scipy import integrate
 
 from prismnet import analytic
-from prismnet.channel import bulk_mass, h, h_prime, hard_disk, mimo_mrc_2x2, rayleigh
+from prismnet.channel import (
+    ModelError,
+    bulk_mass,
+    h,
+    h_prime,
+    hard_disk,
+    mimo_mrc_2x2,
+    rayleigh,
+)
 from prismnet.geometry import BoundaryFeature
 from prismnet.quadrature import (
     QuadratureError,
@@ -91,6 +99,24 @@ class TestInnerIntegrals:
         with pytest.raises(ValueError):
             inner_face(-1.0, m)
 
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_hard_disk_at_apex(self, theta):
+        # The wedge holds theta / (4 pi) of the ball of radius r0 (z >= 0) at a
+        # corner, and twice that at an edge.
+        r0 = 1.3
+        m = hard_disk(r0)
+        assert_allclose(inner_corner(theta, m), theta * r0**3 / 3.0, rtol=1e-12)
+        assert_allclose(inner_edge(theta, m), 2.0 * theta * r0**3 / 3.0, rtol=1e-12)
+
+    def test_hard_disk_off_apex_needs_slope(self):
+        m = hard_disk(1.0)
+        with pytest.raises(ModelError):
+            inner_corner(np.pi / 2, m, r2=0.1)
+        with pytest.raises(ModelError):
+            inner_corner(np.pi / 2, m, z2=0.1)
+        with pytest.raises(ModelError):
+            inner_edge(np.pi / 2, m, r2=0.1)
+
 
 class TestOuterIntegrals:
     def test_corner(self):
@@ -134,6 +160,19 @@ class TestOuterIntegrals:
         f = BoundaryFeature(codim=0, measure=10.0, solid_angle=4 * np.pi)
         expected = 10.0 * math.exp(-4.0 / 3.0 * np.pi)
         assert_allclose(outer_integral(f, m, 1.0), expected, rtol=1e-8)
+
+    @pytest.mark.parametrize(
+        "feature",
+        [
+            BoundaryFeature(codim=1, measure=100.0, solid_angle=2 * np.pi),
+            BoundaryFeature(codim=2, measure=5.0, solid_angle=np.pi, dihedral=np.pi / 2),
+            BoundaryFeature(codim=3, measure=1.0, solid_angle=np.pi / 2, dihedral=np.pi / 2),
+        ],
+        ids=["face", "edge", "corner"],
+    )
+    def test_hard_disk_boundary_rejected(self, feature):
+        with pytest.raises(ModelError):
+            outer_integral(feature, hard_disk(1.0), 1.0)
 
     def test_rejects_bad_density(self):
         m = mimo_mrc_2x2(1.0)
