@@ -245,13 +245,7 @@ def component_group_values(breakdown: PfcBreakdown) -> dict[str, float]:
 
 def dominant_component(L: float, beta: float, rho: float) -> str:
     """Largest of {bulk, face, edge, corner} for the house prism at (rho, L)."""
-    from .geometry import build_house
-
-    breakdown = assemble_pfc(build_house(L).features(), ConnectivityModel(MIMO_MRC_2X2, beta, 2.0), rho)
-    vals = component_group_values(breakdown)
-    # Ties break toward higher codimension: later entries of GROUP_ORDER win.
-    best = max(GROUP_ORDER, key=lambda g: (vals[g], GROUP_ORDER.index(g)))
-    return best
+    return phase_map(beta, [rho], [L])[0][2]
 
 
 def phase_map(beta: float, rho_grid, L_grid) -> list[tuple[float, float, str]]:

@@ -73,7 +73,11 @@ def hard_disk(r0: float) -> ConnectivityModel:
     # Stored with eta = 2 so that beta = r0^-2 keeps r0 = beta^(-1/eta).
     if not (math.isfinite(r0) and r0 > 0):
         raise ModelError("hard-disk range must be positive and finite")
-    return ConnectivityModel(HARD_DISK, float(r0) ** -2, 2.0)
+    try:
+        beta = float(r0) ** -2
+    except OverflowError:
+        raise ModelError(f"hard-disk range {r0!r} is too small: r0**-2 overflows") from None
+    return ConnectivityModel(HARD_DISK, beta, 2.0)
 
 
 def h(model: ConnectivityModel, r) -> np.ndarray | float:
@@ -85,16 +89,38 @@ def h(model: ConnectivityModel, r) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def h_of_d2(model: ConnectivityModel, d2) -> np.ndarray:
-    """Same as h() but from squared distance; the form the simulator uses."""
+def h_of_d2(model: ConnectivityModel, d2, out=None, scratch=None) -> np.ndarray:
+    """Same as h() but from squared distance; the form the simulator uses.
+
+    ``out`` receives H and ``scratch`` (MIMO only) holds an intermediate;
+    both are float arrays of d2's shape that must not overlap it.  With
+    them no array is allocated.  Without them the first steps allocate and
+    scalar input keeps plain scalar arithmetic.  Either way each step is
+    the same floating-point operation, so the values are bit-identical.
+    """
     d2 = np.asarray(d2, dtype=float)
     if model.family == MIMO_MRC_2X2:
-        x = model.beta * d2
-        e = np.exp(-x)
-        return e * (x * x + 2.0 - e)
+        x = model.beta * d2 if scratch is None else np.multiply(d2, model.beta, out=scratch)
+        e = np.exp(-x) if out is None else np.exp(np.negative(x, out=out), out=out)
+        # e * (x*x + 2 - e), built in x.
+        x *= x
+        x += 2.0
+        x -= e
+        e *= x
+        return e
     if model.family == RAYLEIGH:
-        return np.exp(-model.beta * d2 ** (0.5 * model.eta))
-    return (d2 <= model.r0**2).astype(float)
+        # exp(-beta * d2**(eta/2)); `**=` picks the same power kernel as `**`.
+        if out is None:
+            y = d2 ** (0.5 * model.eta)
+        else:
+            y = out
+            y[...] = d2
+            y **= 0.5 * model.eta
+        y *= -model.beta
+        return np.exp(y) if out is None else np.exp(y, out=y)
+    if out is None:
+        return (d2 <= model.r0**2).astype(float)
+    return np.less_equal(d2, model.r0**2, out=out)
 
 
 def h_prime(model: ConnectivityModel, r) -> np.ndarray | float:
@@ -126,6 +152,14 @@ def bulk_mass(model: ConnectivityModel) -> float:
     return 4.0 / 3.0 * np.pi * model.r0**3
 
 
+# The fields each family's spec may hold.
+_MODEL_FIELDS = {
+    MIMO_MRC_2X2: {"family", "beta", "eta"},
+    RAYLEIGH: {"family", "beta", "eta"},
+    HARD_DISK: {"family", "r0"},
+}
+
+
 def model_from_spec(spec: dict | str) -> ConnectivityModel:
     """Build a model from its JSON specification.
 
@@ -140,6 +174,11 @@ def model_from_spec(spec: dict | str) -> ConnectivityModel:
     if not isinstance(spec, dict) or "family" not in spec:
         raise ModelError("model spec must be an object with a 'family' field")
     family = spec["family"]
+    if not isinstance(family, str) or family not in _MODEL_FIELDS:
+        raise ModelError(f"unknown model family {family!r}")
+    extra = sorted(map(str, spec.keys() - _MODEL_FIELDS[family]))
+    if extra:
+        raise ModelError(f"{family} model spec has unknown field(s): {', '.join(extra)}")
     try:
         if family == MIMO_MRC_2X2:
             if float(spec.get("eta", 2.0)) != 2.0:
@@ -147,12 +186,10 @@ def model_from_spec(spec: dict | str) -> ConnectivityModel:
             return mimo_mrc_2x2(float(spec["beta"]))
         if family == RAYLEIGH:
             return rayleigh(float(spec["beta"]), float(spec.get("eta", 2.0)))
-        if family == HARD_DISK:
-            return hard_disk(float(spec["r0"]))
+        return hard_disk(float(spec["r0"]))
     except ModelError:
         raise
     except KeyError as exc:
         raise ModelError(f"model spec missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ModelError(f"model spec field is not a number: {exc}") from exc
-    raise ModelError(f"unknown model family {family!r}")

@@ -426,6 +426,14 @@ def build_right_prism(base: Polygon2D, h: float) -> RightPrism:
     return RightPrism(base, h)
 
 
+# The fields each kind's spec may hold.
+_DOMAIN_FIELDS = {
+    "house": {"kind", "L"},
+    "half_cylinder": {"kind", "r", "h"},
+    "prism": {"kind", "base", "height"},
+}
+
+
 def domain_from_spec(spec: dict | str) -> Domain:
     """Build a domain from its JSON specification.
 
@@ -440,17 +448,20 @@ def domain_from_spec(spec: dict | str) -> Domain:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise GeometryError("domain spec must be an object with a 'kind' field")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _DOMAIN_FIELDS:
+        raise GeometryError(f"unknown domain kind {kind!r}")
+    extra = sorted(map(str, spec.keys() - _DOMAIN_FIELDS[kind]))
+    if extra:
+        raise GeometryError(f"{kind} domain spec has unknown field(s): {', '.join(extra)}")
     try:
         if kind == "house":
             return build_house(float(spec["L"]))
         if kind == "half_cylinder":
             return build_half_cylinder(float(spec["r"]), float(spec["h"]))
-        if kind == "prism":
-            return build_right_prism(Polygon2D(spec["base"]), float(spec["height"]))
+        return build_right_prism(Polygon2D(spec["base"]), float(spec["height"]))
     except GeometryError:
         raise
     except KeyError as exc:
         raise GeometryError(f"domain spec missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise GeometryError(f"domain spec field is not a number: {exc}") from exc
-    raise GeometryError(f"unknown domain kind {kind!r}")

@@ -5,9 +5,17 @@ per node pair, in row-major condensed order, and links the pair when the
 uniform falls below H(distance).  The numpy pair-graph kernel in
 ``_kernel_py`` returns the graph's connectivity and minimum degree: it
 stops at an isolated node, and otherwise runs a breadth-first search over
-a dense adjacency.  Trials are fully determined by (seed, trial_index):
-random numbers come from a per-trial generator seeded with that pair, so
-serial, reordered, and parallel execution all produce identical aggregates.
+a dense adjacency.
+
+Each chunk of trials allocates one workspace and every trial writes into
+it: per worker, two float64 arrays of N(N-1)/2 (pair uniforms and squared
+distances), i.e. 12.5 MB at N = 1250 and 800 MB at N = 10,000, plus
+cache-sized blocks for H and the link test.  Those two arrays are the
+memory ceiling of a trial.
+
+Trials are fully determined by (seed, trial_index): random numbers come
+from a per-trial generator seeded with that pair, so serial, reordered,
+and parallel execution all produce identical aggregates.
 """
 
 from __future__ import annotations
@@ -122,20 +130,23 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial_index]))
 
 
-def run_trial(config: SimConfig, trial_index: int) -> TrialOutcome:
+def run_trial(config: SimConfig, trial_index: int, workspace=None) -> TrialOutcome:
+    """One trial; ``workspace`` is a ``_kernel.Workspace(config.n)`` to reuse."""
     n = config.n
+    ws = _kernel.Workspace(n) if workspace is None else workspace
     rng = trial_rng(config.seed, trial_index)
     pos = np.ascontiguousarray(config.domain.sample(n, rng))
-    u = rng.random(n * (n - 1) // 2)
-    connected, min_degree = _kernel.pair_graph_stats(pos, u, config.model)
+    u = rng.random(out=ws.u)
+    connected, min_degree = _kernel.pair_graph_stats(pos, u, config.model, ws)
     return TrialOutcome(connected=connected, min_degree=min_degree)
 
 
 def _count_range(config: SimConfig, start: int, stop: int) -> tuple[int, int]:
     fc = 0
     deg_ok = 0
+    workspace = _kernel.Workspace(config.n)
     for t in range(start, stop):
-        outcome = run_trial(config, t)
+        outcome = run_trial(config, t, workspace)
         if outcome.connected:
             fc += 1
         if outcome.min_degree >= 1 or config.n == 1:

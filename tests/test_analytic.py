@@ -163,11 +163,21 @@ class TestCone:
 
 class TestDominance:
     def test_phase_map_spot_checks(self):
+        # Reference: the largest group value, ties toward higher codimension
+        # (later in GROUP_ORDER), from the scalar breakdown of each cell.
         rhos = [0.5, 1.0, 2.0]
         lengths = [2.0, 5.0, 20.0]
         cells = phase_map(1.0, rhos, lengths)
+        assert [(rho, L) for rho, L, _ in cells] == [(r, L) for L in lengths for r in rhos]
+        labels = set()
         for rho, L, label in cells:
-            assert label == dominant_component(L, 1.0, rho)
+            vals = component_group_values(
+                assemble_pfc(build_house(L).features(), mimo_mrc_2x2(1.0), rho)
+            )
+            want = max(reversed(GROUP_ORDER), key=vals.__getitem__)
+            assert label == want == dominant_component(L, 1.0, rho)
+            labels.add(label)
+        assert len(labels) > 1
 
     def test_band_order_along_density_ray(self):
         # Dominant labels along increasing rho form a subsequence of

@@ -103,6 +103,57 @@ class TestSampling:
             assert_allclose(h_of_d2(m, r * r), np.asarray(h(m, r)), rtol=1e-13)
 
 
+def reference_h_of_d2(model, d2):
+    """H from squared distance, written with plain operators and fresh arrays."""
+    d2 = np.asarray(d2, dtype=float)
+    if model.family == "mimo_mrc_2x2":
+        x = model.beta * d2
+        e = np.exp(-x)
+        return e * (x * x + 2.0 - e)
+    if model.family == "rayleigh":
+        return np.exp(-model.beta * d2 ** (0.5 * model.eta))
+    return (d2 <= model.r0**2).astype(float)
+
+
+EXACT_MODELS = [
+    *(mimo_mrc_2x2(b) for b in (0.5, 1.0, 2.0)),
+    *(rayleigh(0.7, eta) for eta in (2.0, 2.5, 3.0, 4.0)),
+    hard_disk(1.3),
+]
+
+
+class TestInPlaceExactness:
+    """h_of_d2 into caller buffers is bit-equal to the plain-operator form."""
+
+    D2 = np.concatenate([[0.0, 1.69, 1.69 * (1 + 2**-52)], np.linspace(0.0, 60.0, 5001) ** 1.5])
+
+    @pytest.mark.parametrize("model", EXACT_MODELS, ids=lambda m: f"{m.family}-{m.beta}-{m.eta}")
+    def test_arrays(self, model):
+        want = reference_h_of_d2(model, self.D2)
+        assert np.array_equal(h_of_d2(model, self.D2), want)
+        out, scratch = np.full_like(self.D2, np.nan), np.full_like(self.D2, np.nan)
+        d2 = self.D2.copy()
+        got = h_of_d2(model, d2, out=out, scratch=scratch)
+        assert got is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(d2, self.D2)  # input untouched
+        # Slices of larger buffers, as the kernel passes them.
+        big, big_scratch = np.empty(2 * d2.size), np.empty(2 * d2.size)
+        got = h_of_d2(model, d2, out=big[: d2.size], scratch=big_scratch[: d2.size])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("model", EXACT_MODELS, ids=lambda m: f"{m.family}-{m.beta}-{m.eta}")
+    def test_scalars(self, model):
+        for v in (0.0, 0.3, 1.69, 7.5, 40.0):
+            want = reference_h_of_d2(model, v)
+            for d2 in (v, np.float64(v), np.array(v)):
+                got = h_of_d2(model, d2)
+                assert np.ndim(got) == 0 and np.array_equal(got, want)
+                out, scratch = np.empty(()), np.empty(())
+                assert np.array_equal(h_of_d2(model, d2, out=out, scratch=scratch), want)
+                assert np.array_equal(out, want)
+
+
 class TestSpecs:
     def test_parse(self):
         assert model_from_spec({"family": "mimo_mrc_2x2", "beta": 2.0}).beta == 2.0
@@ -128,6 +179,12 @@ class TestSpecs:
                 hard_disk(bad)
         with pytest.raises(ModelError):
             hard_disk(0.0)
+        for tiny in (1e-200, 5e-324):
+            with pytest.raises(ModelError, match="too small"):
+                hard_disk(tiny)
+            with pytest.raises(ModelError, match="too small"):
+                model_from_spec({"family": "hard_disk", "r0": tiny})
+        assert hard_disk(1e-150).r0 == pytest.approx(1e-150)
         for spec in (
             {"family": "mimo_mrc_2x2", "beta": "x"},
             {"family": "rayleigh", "beta": [1.0]},
@@ -135,3 +192,16 @@ class TestSpecs:
         ):
             with pytest.raises(ModelError):
                 model_from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"family": "mimo_mrc_2x2", "beta": 1.0, "r0": 9.0}, "r0"),
+            ({"family": "rayleigh", "beta": 1.0, "eta": 3.0, "r0": 1.0}, "r0"),
+            ({"family": "hard_disk", "r0": 1.0, "beta": 1.0}, "beta"),
+            ({"family": "hard_disk", "r0": 1.0, "eta": 2.0, "Beta": 1.0}, "Beta, eta"),
+        ],
+    )
+    def test_unknown_field_named(self, spec, field):
+        with pytest.raises(ModelError, match=f"unknown field\\(s\\): {field}$"):
+            model_from_spec(spec)

@@ -64,6 +64,12 @@ BAD_INPUTS = [
     ("house-L-text", SPEC_COMMANDS, {"--domain": '{"kind":"house","L":"x"}'}, None, "not a number"),
     ("prism-base-text", SPEC_COMMANDS,
      {"--domain": '{"kind":"prism","base":"x","height":1}'}, None, "not a number"),
+    ("house-extra-field", SPEC_COMMANDS, {"--domain": '{"kind":"house","L":5,"height":3}'}, None,
+     "unknown field(s): height"),
+    ("mimo-extra-field", SPEC_COMMANDS, {"--model": '{"family":"mimo_mrc_2x2","beta":1,"r0":9}'},
+     None, "unknown field(s): r0"),
+    ("hard-disk-r0-tiny", SIM_COMMANDS, {"--model": '{"family":"hard_disk","r0":1e-200}'}, None,
+     "too small"),
 ]
 
 

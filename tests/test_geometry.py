@@ -209,3 +209,15 @@ class TestSpecs:
         ):
             with pytest.raises(GeometryError):
                 domain_from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ({"kind": "house", "L": 5.0, "height": 3.0}, "height"),
+            ({"kind": "half_cylinder", "r": 5.0, "h": 4.0, "L": 1.0}, "L"),
+            ({"kind": "prism", "base": [[0, 0], [1, 0], [0, 1]], "height": 1.0, "h": 1.0}, "h"),
+        ],
+    )
+    def test_unknown_field_named(self, spec, field):
+        with pytest.raises(GeometryError, match=f"unknown field\\(s\\): {field}$"):
+            domain_from_spec(spec)

@@ -1,15 +1,17 @@
 """Monte Carlo engine: kernel exactness, determinism, pinned random stream."""
 
-import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.spatial.distance import pdist
 
 from prismnet.channel import h_of_d2, hard_disk, mimo_mrc_2x2, rayleigh
 from prismnet.geometry import Polygon2D, build_half_cylinder, build_house, build_right_prism
 from prismnet.simulator import (
+    _count_range,
     _kernel,
     BACKEND,
     SimConfig,
@@ -108,6 +110,55 @@ class TestKernelExactness:
         # isolated node (decided by the search) all occur.
         assert kinds == {(True, True), (False, False), (False, True)}
 
+    def test_multi_block_trials_match_dense_reference(self):
+        # N = 375: 70,125 pairs, three H blocks.
+        cfg = SimConfig(domain=build_house(10.0), model=mimo_mrc_2x2(1.0), trials=1, rho=0.3)
+        n = cfg.n
+        assert n * (n - 1) // 2 > 2 * _kernel.BLOCK
+        kinds = set()
+        for t in range(30):
+            rng = trial_rng(cfg.seed, t)
+            pos = np.ascontiguousarray(cfg.domain.sample(n, rng))
+            u = rng.random(n * (n - 1) // 2)
+            link = u < h_of_d2(cfg.model, pdist(pos, "sqeuclidean"))
+            assert np.unique(np.flatnonzero(link) // _kernel.BLOCK).size == 3
+            adj = np.zeros((n, n), dtype=bool)
+            adj[np.triu_indices(n, k=1)] = link
+            adj |= adj.T
+            want = reachability_oracle(adj)
+            assert _kernel.pair_graph_stats(pos, u, cfg.model) == want, f"trial {t}"
+            out = run_trial(cfg, t)
+            assert (out.connected, out.min_degree) == want
+            kinds.add((want[0], want[1] > 0))
+        assert kinds == {(True, True), (False, False), (False, True)}
+
+    def test_workspace_reuse_matches_fresh(self):
+        # One workspace across trials and models gives each trial's own outcome.
+        d = build_house(10.0)
+        for model in (mimo_mrc_2x2(1.0), rayleigh(1.0, 3.0), hard_disk(1.2)):
+            cfg = SimConfig(domain=d, model=model, trials=1, rho=0.3)
+            ws = _kernel.Workspace(cfg.n)
+            for t in range(6):
+                assert run_trial(cfg, t, ws) == run_trial(cfg, t)
+
+
+class TestMemory:
+    @pytest.mark.parametrize(
+        "model", [mimo_mrc_2x2(1.0), rayleigh(1.0, 3.0), hard_disk(1.0)], ids=lambda m: m.family
+    )
+    def test_peak_per_chunk(self, model):
+        # House L=10, rho=1: N=1250.  The workspace holds two pair-sized
+        # float64 arrays; H and the link test stay in cache-sized blocks.
+        cfg = SimConfig(domain=build_house(10.0), model=model, trials=3, rho=1.0)
+        pair_bytes = 8 * cfg.n * (cfg.n - 1) // 2
+        tracemalloc.start()
+        try:
+            _count_range(cfg, 0, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * pair_bytes, f"peak {peak / pair_bytes:.2f} x pair array"
+
 
 class TestBackends:
     def test_backend_exposed(self):
@@ -150,8 +201,16 @@ class TestStream:
             (build_half_cylinder(5.0, 4.0), mimo_mrc_2x2(1.0), 0.25, (115, 165)),
             (build_right_prism(HEX_BASE, 3.0), rayleigh(1.0, 3.0), 5.0, (394, 394)),
             (build_house(2.0), hard_disk(0.8), 1.0, (1, 29)),
+            # N = 375: three H blocks per trial.
+            (build_house(10.0), mimo_mrc_2x2(1.0), 0.3, (69, 91)),
         ],
-        ids=["house-mimo", "half-cylinder-mimo", "hex-prism-rayleigh", "house-hard-disk"],
+        ids=[
+            "house-mimo",
+            "half-cylinder-mimo",
+            "hex-prism-rayleigh",
+            "house-hard-disk",
+            "house-L10-mimo-3-blocks",
+        ],
     )
     def test_pinned_counts(self, domain, model, rho, counts):
         # Any change to the random stream or the link decision moves these.
