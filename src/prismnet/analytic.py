@@ -1,15 +1,17 @@
 """Closed-form boundary-component contributions to the connectivity probability.
 
-Each boundary feature of a convex right prism contributes one additive term
-to the network outage probability in the dense regime.  A term has the form
+Each boundary feature of a convex right prism (a ``BoundaryFeature``: the
+bulk, the face, an edge or a corner) contributes one additive term to the
+network outage probability in the dense regime.  A term has the form
 
     contribution(rho) = multiplicity * prefactor * rho^(1-l) * exp(-rho * rate)
 
-where l is the feature codimension, ``rate`` equals
-(solid_angle / 4 pi) * bulk_mass(model), and ``prefactor`` collects the
-geometrical factor and the feature measure.  Closed-form prefactors are
-registered only for the 2x2 MIMO MRC family with path-loss exponent 2; the
-generic numeric route for other models lives in the quadrature module.
+where l is the feature codimension and, for every codimension,
+rate = feature.solid_angle / (4 pi) * bulk_mass(model).  ``prefactor``
+collects the geometrical factor and the feature measure.  Closed-form
+prefactors exist only for the 2x2 MIMO MRC family with path-loss exponent
+2; the generic numeric route for other models lives in the quadrature
+module.
 
 The full-connectivity probability is P_fc = 1 - sum of contributions.
 """
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import MIMO_MRC_2X2, ConnectivityModel, bulk_mass
-from .geometry import FeatureSet
+from .channel import MIMO_MRC_2X2, ConnectivityModel, bulk_mass, mimo_mrc_2x2
+from .geometry import BoundaryFeature, FeatureSet, build_house
 
 # Guard below the theta = pi degeneracy, where a corner flattens into an
 # edge and csc(theta) blows up.
@@ -34,7 +36,7 @@ VALIDITY_SCALE = 5.0
 
 
 class ClosedFormUnavailableError(ValueError):
-    """Requested closed-form terms for a model family that has none."""
+    """Requested closed-form terms for a model family or angle that has none."""
 
 
 def _require_mimo(model: ConnectivityModel):
@@ -47,7 +49,10 @@ def _require_mimo(model: ConnectivityModel):
 
 def _check_theta(theta: float):
     if not 0.0 < theta <= np.pi - THETA_EPS:
-        raise ValueError(f"dihedral angle {theta} outside (0, pi - {THETA_EPS}]")
+        raise ClosedFormUnavailableError(
+            f"dihedral angle {theta} outside (0, pi - {THETA_EPS}]: "
+            "the closed form diverges as the angle flattens"
+        )
 
 
 @dataclass(frozen=True)
@@ -60,11 +65,6 @@ class ContributionTerm:
     exponent_rate: float
     multiplicity: int = 1
 
-    @property
-    def density_power(self) -> int:
-        """Power of rho in the assembled contribution, 1 - codim."""
-        return 1 - self.codim
-
     def outer_integral(self, rho) -> np.ndarray | float:
         """Per-feature outer integral, before the global rho multiplier."""
         rho = np.asarray(rho, dtype=float)
@@ -73,62 +73,68 @@ class ContributionTerm:
 
     def contribution(self, rho) -> np.ndarray | float:
         """Outage contribution of the whole group: mult * rho * outer integral."""
-        return self.multiplicity * np.asarray(rho, dtype=float) ** 1 * self.outer_integral(rho)
+        return self.multiplicity * np.asarray(rho, dtype=float) * self.outer_integral(rho)
 
 
-def corner_rate(theta: float, model: ConnectivityModel) -> float:
-    # A right-prism corner of dihedral theta subtends theta steradians.
-    return theta / (4.0 * np.pi) * bulk_mass(model)
+def term(feature: BoundaryFeature, model: ConnectivityModel, label: str = "") -> ContributionTerm:
+    """Closed-form outage term of one boundary feature group.
+
+    Prefactors by codimension, with the feature measure V, S or L: bulk V;
+    face 2 beta S / (7 pi); edge 16 L beta^2 / (49 pi^2 sin theta); corner
+    256 beta^3 / (343 pi^2 theta sin theta), with theta the dihedral angle.
+    """
+    _require_mimo(model)
+    beta, theta = model.beta, feature.dihedral
+    if feature.codim >= 2:
+        _check_theta(theta)
+    if feature.codim == 0:
+        pref = feature.measure
+    elif feature.codim == 1:
+        pref = 2.0 * beta * feature.measure / (7.0 * np.pi)
+    elif feature.codim == 2:
+        pref = 16.0 * feature.measure * beta**2 / (49.0 * np.pi**2 * math.sin(theta))
+    else:
+        pref = 256.0 * beta**3 / (343.0 * np.pi**2 * theta * math.sin(theta))
+    rate = feature.solid_angle / (4.0 * np.pi) * bulk_mass(model)
+    return ContributionTerm(label, feature.codim, pref, rate, feature.multiplicity)
 
 
-def corner_term(theta: float, beta: float, label: str = "C") -> ContributionTerm:
-    """Per-corner term for a right-prism corner of dihedral angle theta."""
-    _check_theta(theta)
-    model = ConnectivityModel(MIMO_MRC_2X2, beta, 2.0)
-    pref = 256.0 * beta**3 / (343.0 * np.pi**2 * theta * math.sin(theta))
-    return ContributionTerm(label, 3, pref, corner_rate(theta, model))
+def _angle_class_labels(features, prefix: str) -> dict[float, str]:
+    angles = sorted({f.dihedral for f in features})
+    if len(angles) == 1:
+        return {angles[0]: prefix}
+    return {a: f"{prefix}{i + 1}" for i, a in enumerate(angles)}
 
 
-def edge_term(theta: float, L: float, beta: float, label: str = "E") -> ContributionTerm:
-    """Per-edge term for an edge of length L and dihedral angle theta."""
-    _check_theta(theta)
-    if L <= 0:
-        raise ValueError("edge length must be positive")
-    model = ConnectivityModel(MIMO_MRC_2X2, beta, 2.0)
-    pref = 16.0 * L * beta**2 / (49.0 * np.pi**2 * math.sin(theta))
-    rate = 2.0 * theta / (4.0 * np.pi) * bulk_mass(model)
-    return ContributionTerm(label, 2, pref, rate)
+def terms(features: FeatureSet, model: ConnectivityModel) -> tuple[ContributionTerm, ...]:
+    """The labelled terms of a whole domain: U, F, then E..., then C...
+
+    Edge and corner groups are labelled E1, E2, ... / C1, C2, ... in
+    increasing dihedral-angle order, collapsing to E / C when a single
+    angle class is present.
+    """
+    edge_labels = _angle_class_labels(features.edges, "E")
+    corner_labels = _angle_class_labels(features.corners, "C")
+    return (
+        term(features.bulk, model, "U"),
+        term(features.face, model, "F"),
+        *(term(e, model, edge_labels[e.dihedral]) for e in features.edges),
+        *(term(c, model, corner_labels[c.dihedral]) for c in features.corners),
+    )
 
 
-def face_term(S: float, beta: float, label: str = "F") -> ContributionTerm:
-    """Total face term via the equal-surface-area sphere substitution S = 4 pi R^2."""
-    if S <= 0:
-        raise ValueError("surface area must be positive")
-    model = ConnectivityModel(MIMO_MRC_2X2, beta, 2.0)
-    pref = 2.0 * beta * S / (7.0 * np.pi)
-    return ContributionTerm(label, 1, pref, 0.5 * bulk_mass(model))
-
-
-def bulk_term(V: float, beta: float, label: str = "U") -> ContributionTerm:
-    """Total bulk term: prefactor V, full connection-mass exponent."""
-    if V <= 0:
-        raise ValueError("volume must be positive")
-    model = ConnectivityModel(MIMO_MRC_2X2, beta, 2.0)
-    return ContributionTerm(label, 0, V, bulk_mass(model))
-
-
-def cone_term(theta: float, beta: float, label: str = "K") -> ContributionTerm:
+def cone_term(theta: float, model: ConnectivityModel, label: str = "K") -> ContributionTerm:
     """Corner approximated by a cone of equal solid angle theta (steradians).
 
     Shares the corner exponent exactly; the prefactor differs because a cone
     is only a rough local stand-in for a three-plane corner.
     """
+    _require_mimo(model)
     if not 0.0 < theta < 2.0 * np.pi:
         raise ValueError("cone solid angle must lie in (0, 2 pi)")
-    model = ConnectivityModel(MIMO_MRC_2X2, beta, 2.0)
     d = theta * theta - 6.0 * np.pi * theta + 8.0 * np.pi**2
-    pref = 1024.0 * beta**3 * np.pi**4 / (343.0 * theta**2 * d * d)
-    return ContributionTerm(label, 3, pref, corner_rate(theta, model))
+    pref = 1024.0 * model.beta**3 * np.pi**4 / (343.0 * theta**2 * d * d)
+    return ContributionTerm(label, 3, pref, theta / (4.0 * np.pi) * bulk_mass(model))
 
 
 def corner_shape_function(theta) -> np.ndarray | float:
@@ -141,20 +147,13 @@ def corner_shape_function(theta) -> np.ndarray | float:
 def cone_shape_function(theta) -> np.ndarray | float:
     """Cone prefactor under the same normalization as corner_shape_function.
 
-    Chosen so that cone_term/corner_term prefactor ratios equal the ratio of
+    Chosen so that cone and corner term prefactor ratios equal the ratio of
     the two shape functions: 4 pi^5 / (theta * (theta^2 - 6 pi theta + 8 pi^2)^2).
     """
     theta = np.asarray(theta, dtype=float)
     d = theta * theta - 6.0 * np.pi * theta + 8.0 * np.pi**2
     out = 4.0 * np.pi**5 / (theta * d * d)
     return float(out) if out.ndim == 0 else out
-
-
-def _angle_class_labels(features, prefix: str) -> dict[float, str]:
-    angles = sorted({f.dihedral for f in features})
-    if len(angles) == 1:
-        return {angles[0]: prefix}
-    return {a: f"{prefix}{i + 1}" for i, a in enumerate(angles)}
 
 
 @dataclass(frozen=True)
@@ -198,36 +197,14 @@ class PfcBreakdown:
 
 
 def assemble_pfc(features: FeatureSet, model: ConnectivityModel, rho: float) -> PfcBreakdown:
-    """Sum all boundary-component terms of a domain at density rho.
-
-    Edge and corner groups are labelled E1, E2, ... / C1, C2, ... in
-    increasing dihedral-angle order, collapsing to E / C when a single
-    angle class is present.
-    """
-    _require_mimo(model)
+    """Sum the labelled terms of a domain (see ``terms``) at density rho."""
+    domain_terms = terms(features, model)
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("density must be positive and finite")
-    beta = model.beta
-    terms: list[ContributionTerm] = [
-        bulk_term(features.bulk.measure, beta),
-        face_term(features.face.measure, beta),
-    ]
-    edge_labels = _angle_class_labels(features.edges, "E")
-    for e in features.edges:
-        t = edge_term(e.dihedral, e.measure, beta, label=edge_labels[e.dihedral])
-        terms.append(
-            ContributionTerm(t.label, t.codim, t.prefactor, t.exponent_rate, e.multiplicity)
-        )
-    corner_labels = _angle_class_labels(features.corners, "C")
-    for c in features.corners:
-        t = corner_term(c.dihedral, beta, label=corner_labels[c.dihedral])
-        terms.append(
-            ContributionTerm(t.label, t.codim, t.prefactor, t.exponent_rate, c.multiplicity)
-        )
-    p_out_raw = float(sum(t.contribution(rho) for t in terms))
+    p_out_raw = float(sum(t.contribution(rho) for t in domain_terms))
     char_length = features.bulk.measure ** (1.0 / 3.0)
-    valid = p_out_raw <= 1.0 and math.sqrt(beta) * char_length >= VALIDITY_SCALE
-    return PfcBreakdown(tuple(terms), float(rho), p_out_raw, valid)
+    valid = p_out_raw <= 1.0 and math.sqrt(model.beta) * char_length >= VALIDITY_SCALE
+    return PfcBreakdown(domain_terms, float(rho), p_out_raw, valid)
 
 
 # Dominance groups follow the four-band structure: bulk, face, all edges,
@@ -243,11 +220,6 @@ def component_group_values(breakdown: PfcBreakdown) -> dict[str, float]:
     return out
 
 
-def dominant_component(L: float, beta: float, rho: float) -> str:
-    """Largest of {bulk, face, edge, corner} for the house prism at (rho, L)."""
-    return phase_map(beta, [rho], [L])[0][2]
-
-
 def phase_map(beta: float, rho_grid, L_grid) -> list[tuple[float, float, str]]:
     """Dominant-component label for every (rho, L) cell, row-major in L then rho."""
     rho_grid = np.asarray(rho_grid, dtype=float)
@@ -259,16 +231,13 @@ def phase_map(beta: float, rho_grid, L_grid) -> list[tuple[float, float, str]]:
         for g in (rho_grid, L_grid)
     ):
         raise ValueError("phase-map grids must be finite, positive and strictly increasing")
-    from .geometry import build_house
-
-    model = ConnectivityModel(MIMO_MRC_2X2, beta, 2.0)
+    model = mimo_mrc_2x2(beta)
     out = []
     for L in L_grid:
         feats = build_house(float(L)).features()
         # Group terms once per L; evaluate the whole rho row vectorized.
-        base = assemble_pfc(feats, model, 1.0)
         rows = {g: np.zeros_like(rho_grid) for g in GROUP_ORDER}
-        for t in base.terms:
+        for t in terms(feats, model):
             rows[_GROUP_OF_CODIM[t.codim]] += t.contribution(rho_grid)
         stacked = np.vstack([rows[g] for g in GROUP_ORDER])
         # argmax over reversed order so that equal values pick higher codim.

@@ -265,10 +265,8 @@ def _add_simulation(fig: svgplot.Figure, results):
 def cmd_analytic(job: Job):
     """Closed-form outage breakdown over a density sweep."""
     breakdowns = _breakdowns(job)
-    labels = sorted(
-        {t.label for t in breakdowns[0].terms},
-        key=lambda lab: ([t.codim for t in breakdowns[0].terms if t.label == lab][0], lab),
-    )
+    # terms() order: U, F, then edges and corners by increasing angle.
+    labels = list(dict.fromkeys(t.label for t in breakdowns[0].terms))
     rows = []
     for b in breakdowns:
         vals = b.group_values()

@@ -107,6 +107,8 @@ class BoundaryFeature:
     dihedral: float | None = None
 
     def __post_init__(self):
+        if not self.measure > 0:
+            raise GeometryError(f"feature measure must be positive, got {self.measure}")
         if self.codim in (2, 3):
             if self.dihedral is None or not 0.0 < self.dihedral < np.pi:
                 raise GeometryError("edge/corner dihedral must lie in (0, pi)")

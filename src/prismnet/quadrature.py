@@ -224,27 +224,20 @@ def outer_integral(feature: BoundaryFeature, model: ConnectivityModel, rho: floa
         # The integrand lives in a layer of width ~1/(rho B) below r2 = R;
         # integrate the depth t = R - r2 over that layer only.
         depth = min(R, _EXP_CUTOFF / (rho * B))
-        val = _quad(
+        return _quad(
             lambda t: 4.0 * np.pi * (R - t) ** 2 * math.exp(-rho * (A + B * t)), 0.0, depth
         )
-        return val
+    if feature.codim not in (2, 3):
+        raise ValueError(f"unsupported codimension {feature.codim}")
     theta = feature.dihedral
+    J1, J2, J3 = _wedge_j_integrals(model, half_z=feature.codim == 3)
+    A = theta * J1
+    ang_int = _quad(
+        lambda t2: (rho * (-J3) * (math.sin(t2) + math.sin(theta - t2))) ** -2, 0.0, theta
+    )
     if feature.codim == 2:
-        J1, _, J3 = _wedge_j_integrals(model, half_z=False)
-        A = theta * J1
-        ang_int = _quad(
-            lambda t2: (rho * (-J3) * (math.sin(t2) + math.sin(theta - t2))) ** -2, 0.0, theta
-        )
         return feature.measure * math.exp(-rho * A) * ang_int
-    if feature.codim == 3:
-        J1, J2, J3 = _wedge_j_integrals(model, half_z=True)
-        A = theta * J1
-        b = -theta * J2
-        ang_int = _quad(
-            lambda t2: (rho * (-J3) * (math.sin(t2) + math.sin(theta - t2))) ** -2, 0.0, theta
-        )
-        return math.exp(-rho * A) / (rho * b) * ang_int
-    raise ValueError(f"unsupported codimension {feature.codim}")
+    return math.exp(-rho * A) / (rho * (-theta * J2)) * ang_int
 
 
 @dataclass(frozen=True)
@@ -318,51 +311,23 @@ def validation_suite(
             ValidationRow("inner_bulk", {"beta": beta}, bulk_mass(model), zeroth, 1e-8)
         )
 
-    beta = 1.0
+    # Outer integrals at beta = 1: the closed-form term against quadrature
+    # over the same feature.  The face is compared on a sphere large enough
+    # that the curvature deficit of the spherical patch is far below the
+    # tolerance.
+    beta, theta, Rface, V = 1.0, np.pi / 2, 1e5, 156.25  # V: house(5) volume
     model = ConnectivityModel("mimo_mrc_2x2", beta, 2.0)
-    theta = np.pi / 2
-    corner = BoundaryFeature(codim=3, measure=1.0, solid_angle=theta, dihedral=theta)
-    rows.append(
-        ValidationRow(
-            "outer_corner",
-            {"beta": beta, "theta": theta, "rho": rho},
-            analytic.corner_term(theta, beta).outer_integral(rho),
-            outer_integral(corner, model, rho),
-            1e-3,
-        )
-    )
-    edge = BoundaryFeature(codim=2, measure=5.0, solid_angle=2 * theta, dihedral=theta)
-    rows.append(
-        ValidationRow(
-            "outer_edge",
-            {"beta": beta, "theta": theta, "L": 5.0, "rho": rho},
-            analytic.edge_term(theta, 5.0, beta).outer_integral(rho),
-            outer_integral(edge, model, rho),
-            1e-2,
-        )
-    )
-    # Face: compare at a sphere large enough that the curvature deficit of
-    # the spherical patch is far below the tolerance.
-    Rface = 1e5
-    face = BoundaryFeature(codim=1, measure=4.0 * np.pi * Rface**2, solid_angle=2 * np.pi)
-    rows.append(
-        ValidationRow(
-            "outer_face",
-            {"beta": beta, "R": Rface, "rho": rho},
-            analytic.face_term(4.0 * np.pi * Rface**2, beta).outer_integral(rho),
-            outer_integral(face, model, rho),
-            1e-3,
-        )
-    )
-    V = 156.25  # house(5) volume
-    bulk = BoundaryFeature(codim=0, measure=V, solid_angle=4 * np.pi)
-    rows.append(
-        ValidationRow(
-            "outer_bulk",
-            {"beta": beta, "V": V, "rho": rho},
-            analytic.bulk_term(V, beta).outer_integral(rho),
-            outer_integral(bulk, model, rho),
-            1e-6,
-        )
-    )
+    outer = [
+        ("outer_corner", {"beta": beta, "theta": theta, "rho": rho},
+         BoundaryFeature(codim=3, measure=1.0, solid_angle=theta, dihedral=theta), 1e-3),
+        ("outer_edge", {"beta": beta, "theta": theta, "L": 5.0, "rho": rho},
+         BoundaryFeature(codim=2, measure=5.0, solid_angle=2 * theta, dihedral=theta), 1e-2),
+        ("outer_face", {"beta": beta, "R": Rface, "rho": rho},
+         BoundaryFeature(codim=1, measure=4.0 * np.pi * Rface**2, solid_angle=2 * np.pi), 1e-3),
+        ("outer_bulk", {"beta": beta, "V": V, "rho": rho},
+         BoundaryFeature(codim=0, measure=V, solid_angle=4 * np.pi), 1e-6),
+    ]
+    for kind, params, feature, tol in outer:
+        closed = analytic.term(feature, model).outer_integral(rho)
+        rows.append(ValidationRow(kind, params, closed, outer_integral(feature, model, rho), tol))
     return rows

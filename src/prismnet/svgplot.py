@@ -37,8 +37,9 @@ class Figure:
         self.series.append(Series(*args, **kwargs))
 
     def write(self, path):
+        svg = self.render()
         with open(path, "w") as fh:
-            fh.write(self.render())
+            fh.write(svg)
 
     def render(self) -> str:
         pts = [
@@ -47,8 +48,11 @@ class Figure:
             for x, y in zip(s.x, s.y)
             if not self.log_y or y > 0
         ]
-        if not pts:
-            raise ValueError("nothing to plot")
+        empty = not pts
+        if empty:
+            # No plottable point (e.g. no positive y on a log axis): draw the
+            # frame and title over a unit range, without ticks.
+            pts = [(0.0, 1.0)]
         xs = [p[0] for p in pts]
         ys = [self._ty(p[1]) for p in pts]
         x0, x1 = min(xs), max(xs)
@@ -76,8 +80,9 @@ class Figure:
             f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{WIDTH - MARGIN_L - MARGIN_R}" '
             f'height="{HEIGHT - MARGIN_T - MARGIN_B}" fill="none" stroke="#333"/>',
         ]
-        out += self._x_ticks(x0, x1, px)
-        out += self._y_ticks(y0, y1, py)
+        if not empty:
+            out += self._x_ticks(x0, x1, px)
+            out += self._y_ticks(y0, y1, py)
         if self.title:
             out.append(
                 f'<text x="{WIDTH / 2}" y="{MARGIN_T - 10}" text-anchor="middle" '

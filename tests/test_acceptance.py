@@ -26,7 +26,13 @@ from scipy.integrate import trapezoid
 
 from prismnet import analytic
 from prismnet.channel import bulk_mass, h, mimo_mrc_2x2
-from prismnet.geometry import Polygon2D, build_half_cylinder, build_house, build_right_prism
+from prismnet.geometry import (
+    BoundaryFeature,
+    Polygon2D,
+    build_half_cylinder,
+    build_house,
+    build_right_prism,
+)
 from prismnet.quadrature import validation_suite
 from prismnet.simulator import SimConfig, estimate, run_trial
 
@@ -162,7 +168,7 @@ def test_criterion_5_dominance_structure(capsys):
     for L in (1.5, 3.0, 5.0, 12.0, 40.0):
         lfeats = build_house(L).features()
         ranks = [
-            analytic.GROUP_ORDER.index(analytic.dominant_component(L, 1.0, rho))
+            analytic.GROUP_ORDER.index(analytic.phase_map(1.0, [rho], [L])[0][2])
             for rho in np.linspace(0.05, 4.0, 120)
             if not analytic.assemble_pfc(lfeats, model, rho).clamped
         ]
@@ -229,8 +235,12 @@ def test_criterion_7_connectivity_exactness(capsys):
 
 
 def test_criterion_8_cone_approximation(capsys):
+    model = mimo_mrc_2x2(1.0)
     shared = all(
-        analytic.corner_term(t, 1.0).exponent_rate == analytic.cone_term(t, 1.0).exponent_rate
+        analytic.term(
+            BoundaryFeature(codim=3, measure=1.0, solid_angle=t, dihedral=t), model
+        ).exponent_rate
+        == analytic.cone_term(t, model).exponent_rate
         for t in np.linspace(np.pi / 4, 3 * np.pi / 4, 21)
     )
     grid = np.linspace(np.pi / 4, 3 * np.pi / 4, 21)

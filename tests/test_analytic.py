@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate
 
@@ -12,53 +14,65 @@ from prismnet.analytic import (
     ClosedFormUnavailableError,
     GROUP_ORDER,
     assemble_pfc,
-    bulk_term,
     component_group_values,
     cone_shape_function,
     cone_term,
     corner_shape_function,
-    corner_term,
-    dominant_component,
-    edge_term,
-    face_term,
     phase_map,
+    term,
+    terms,
 )
 from prismnet.channel import bulk_mass, h, mimo_mrc_2x2, rayleigh
-from prismnet.geometry import build_house
+from prismnet.geometry import BoundaryFeature, Polygon2D, build_house, build_right_prism
 
 SQRT2 = math.sqrt(2.0)
 
 
+def corner(theta):
+    return BoundaryFeature(codim=3, measure=1.0, solid_angle=theta, dihedral=theta)
+
+
+def edge(theta, L):
+    return BoundaryFeature(codim=2, measure=L, solid_angle=2.0 * theta, dihedral=theta)
+
+
+def face(S):
+    return BoundaryFeature(codim=1, measure=S, solid_angle=2.0 * np.pi)
+
+
+def bulk(V):
+    return BoundaryFeature(codim=0, measure=V, solid_angle=4.0 * np.pi)
+
+
 class TestTerms:
     def test_corner_right_angle(self):
-        t = corner_term(np.pi / 2, 1.0)
+        t = term(corner(np.pi / 2), mimo_mrc_2x2(1.0))
         assert t.codim == 3
-        assert t.density_power == -2
         assert_allclose(t.prefactor, 512.0 / (343.0 * np.pi**3), rtol=1e-14)
         assert_allclose(t.outer_integral(1.0), 1.125e-3, rtol=1e-3)
 
     def test_edge_prefactor(self):
-        t = edge_term(np.pi / 2, 1.0, 1.0)
+        t = term(edge(np.pi / 2, 1.0), mimo_mrc_2x2(1.0))
         assert_allclose(t.prefactor, 16.0 / (49.0 * np.pi**2), rtol=1e-14)
         assert_allclose(t.prefactor, 0.03308447, atol=1e-7)
 
     def test_face_bulk(self):
         beta = 1.3
         m = mimo_mrc_2x2(beta)
-        f = face_term(10.0, beta)
+        f = term(face(10.0), m)
         assert_allclose(f.prefactor, 2.0 * beta * 10.0 / (7.0 * np.pi), rtol=1e-14)
         assert_allclose(f.exponent_rate, 0.5 * bulk_mass(m), rtol=1e-14)
-        u = bulk_term(4.0, beta)
+        u = term(bulk(4.0), m)
         assert u.prefactor == 4.0
         assert_allclose(u.exponent_rate, bulk_mass(m), rtol=1e-14)
 
     def test_density_powers(self):
-        beta = 1.0
+        m = mimo_mrc_2x2(1.0)
         terms = {
-            0: bulk_term(1.0, beta),
-            1: face_term(1.0, beta),
-            2: edge_term(np.pi / 2, 1.0, beta),
-            3: corner_term(np.pi / 2, beta),
+            0: term(bulk(1.0), m),
+            1: term(face(1.0), m),
+            2: term(edge(np.pi / 2, 1.0), m),
+            3: term(corner(np.pi / 2), m),
         }
         for codim, t in terms.items():
             # rho * outer scales as rho^(1 - codim)
@@ -67,14 +81,62 @@ class TestTerms:
             assert_allclose(hi / lo, 2.0 ** (1 - codim), rtol=1e-12)
 
     def test_invalid_angles(self):
+        m = mimo_mrc_2x2(1.0)
         with pytest.raises(ValueError):
-            corner_term(0.0, 1.0)
+            term(corner(0.0), m)
         with pytest.raises(ValueError):
-            corner_term(np.pi, 1.0)
+            term(corner(np.pi), m)
         with pytest.raises(ValueError):
-            edge_term(np.pi / 2, -1.0, 1.0)
+            term(edge(np.pi / 2, -1.0), m)
         with pytest.raises(ValueError):
-            face_term(0.0, 1.0)
+            term(face(0.0), m)
+        # A valid feature whose angle is too close to pi for the closed form.
+        with pytest.raises(ClosedFormUnavailableError):
+            term(corner(np.pi - 1e-9), m)
+        with pytest.raises(ClosedFormUnavailableError):
+            term(edge(np.pi - 1e-9, 1.0), m)
+
+
+def assert_numbered_by_angle(labelled, prefix):
+    """(label, feature) pairs: one label per dihedral angle, numbered by increasing angle."""
+    angle_of = {}
+    for label, f in labelled:
+        assert angle_of.setdefault(label, f.dihedral) == f.dihedral
+    if len(angle_of) == 1:
+        assert list(angle_of) == [prefix]
+        return
+    names = [f"{prefix}{i + 1}" for i in range(len(angle_of))]
+    assert set(angle_of) == set(names)
+    angles = [angle_of[name] for name in names]
+    assert all(a < b for a, b in zip(angles, angles[1:]))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    gaps=st.lists(st.floats(1.0, 10.0), min_size=3, max_size=12),
+    axes=st.tuples(st.floats(0.5, 5.0), st.floats(0.5, 5.0)),
+    height=st.floats(0.1, 10.0),
+    beta=st.floats(0.25, 4.0),
+)
+def test_terms_follow_features(gaps, axes, height, beta):
+    # Strictly convex base: points on an ellipse at increasing angles whose
+    # gaps (the last one wraps around) are at least 1/111 of the turn.
+    turns = np.cumsum(gaps) / np.sum(gaps)
+    base = [[axes[0] * math.cos(2 * np.pi * t), axes[1] * math.sin(2 * np.pi * t)] for t in turns]
+    feats = build_right_prism(Polygon2D(base), height).features()
+    model = mimo_mrc_2x2(beta)
+    ts = terms(feats, model)
+    features = feats.all_features()
+    assert len(ts) == len(features)
+    for t, f in zip(ts, features):
+        assert (t.codim, t.multiplicity) == (f.codim, f.multiplicity)
+        assert t.exponent_rate == f.solid_angle / (4.0 * np.pi) * bulk_mass(model)
+    assert sum(t.multiplicity for t in ts) == 2 + feats.edge_count + feats.corner_count
+    assert [t.label for t in ts[:2]] == ["U", "F"]
+    for prefix, codim in (("E", 2), ("C", 3)):
+        assert_numbered_by_angle(
+            [(t.label, f) for t, f in zip(ts, features) if f.codim == codim], prefix
+        )
 
 
 class TestAssembly:
@@ -127,12 +189,14 @@ class TestAssembly:
 
 class TestCone:
     def test_shared_exponent(self):
+        m = mimo_mrc_2x2(1.3)
         for theta in (np.pi / 4, np.pi / 2, 2.0):
-            assert corner_term(theta, 1.3).exponent_rate == cone_term(theta, 1.3).exponent_rate
+            assert term(corner(theta), m).exponent_rate == cone_term(theta, m).exponent_rate
 
     def test_prefactor_ratio_equals_shape_ratio(self):
+        m = mimo_mrc_2x2(1.0)
         for theta in np.linspace(np.pi / 4, 3 * np.pi / 4, 7):
-            lhs = corner_term(theta, 1.0).prefactor / cone_term(theta, 1.0).prefactor
+            lhs = term(corner(theta), m).prefactor / cone_term(theta, m).prefactor
             rhs = corner_shape_function(theta) / cone_shape_function(theta)
             assert_allclose(lhs, rhs, rtol=1e-12)
 
@@ -158,7 +222,7 @@ class TestCone:
                 lambda psi: 2.0 * np.pi * math.sin(psi) * 2.0 / (G * math.cos(psi)) ** 3,
                 0.0, alpha, epsabs=0, epsrel=1e-13,
             )
-            assert_allclose(cone_term(omega, beta).prefactor, pref, rtol=1e-9)
+            assert_allclose(cone_term(omega, model).prefactor, pref, rtol=1e-9)
 
 
 class TestDominance:
@@ -175,7 +239,7 @@ class TestDominance:
                 assemble_pfc(build_house(L).features(), mimo_mrc_2x2(1.0), rho)
             )
             want = max(reversed(GROUP_ORDER), key=vals.__getitem__)
-            assert label == want == dominant_component(L, 1.0, rho)
+            assert label == want == phase_map(1.0, [rho], [L])[0][2]
             labels.add(label)
         assert len(labels) > 1
 
@@ -189,14 +253,14 @@ class TestDominance:
             for rho in np.linspace(0.05, 3.0, 90):
                 b = assemble_pfc(feats, mimo_mrc_2x2(1.0), rho)
                 if not b.clamped:
-                    ranks.append(GROUP_ORDER.index(dominant_component(L, 1.0, rho)))
+                    ranks.append(GROUP_ORDER.index(phase_map(1.0, [rho], [L])[0][2]))
             assert all(b >= a for a, b in zip(ranks, ranks[1:]))
 
     def test_bulk_dominates_large_L_low_density(self):
-        assert dominant_component(300.0, 1.0, 0.05) == "bulk"
+        assert phase_map(1.0, [0.05], [300.0])[0][2] == "bulk"
 
     def test_corner_dominates_high_density(self):
-        assert dominant_component(5.0, 1.0, 2.0) == "corner"
+        assert phase_map(1.0, [2.0], [5.0])[0][2] == "corner"
 
     def test_group_values_sum(self):
         b = assemble_pfc(build_house(5.0).features(), mimo_mrc_2x2(1.0), 1.0)

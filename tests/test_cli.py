@@ -2,6 +2,8 @@
 
 import csv
 import json
+import math
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -70,6 +72,11 @@ BAD_INPUTS = [
      None, "unknown field(s): r0"),
     ("hard-disk-r0-tiny", SIM_COMMANDS, {"--model": '{"family":"hard_disk","r0":1e-200}'}, None,
      "too small"),
+    # A strictly convex base whose vertex angle at (1, 0) is pi - 1e-9: valid
+    # geometry, but the closed form diverges there.
+    ("vertex-angle-near-pi", ("analytic", "compare"),
+     {"--domain": '{"kind":"prism","base":[[0,0],[1,0],[2,1e-9],[2,1],[0,1]],"height":1}'},
+     None, "dihedral angle"),
 ]
 
 
@@ -136,6 +143,24 @@ class TestAnalytic:
             out2 / "analytic_components.csv"
         ).read_bytes()
 
+    def test_components_columns_in_angle_order(self, runner, tmp_path):
+        # 12-gon with distinct vertex angles: 13 edge and 12 corner classes,
+        # whose columns run E1..E13 and C1..C12 in numeric order.
+        angles = [0, 0.4, 0.9, 1.3, 1.9, 2.4, 2.8, 3.3, 3.9, 4.5, 5.0, 5.7]
+        base = [[3.0 * math.cos(a), 2.0 * math.sin(a)] for a in angles]
+        domain = json.dumps({"kind": "prism", "base": base, "height": 4.0})
+        res = runner.invoke(
+            main,
+            ["analytic", "--domain", domain, "--model", MODEL, "--rho-list", "1.0",
+             "--out", str(tmp_path)],
+        )
+        assert res.exit_code == 0, res.output
+        header, _ = read_csv(tmp_path / "analytic_components.csv")
+        assert header == [
+            "rho", "U", "F", *(f"E{i}" for i in range(1, 14)), *(f"C{i}" for i in range(1, 13)),
+            "total", "p_fc",
+        ]
+
     def test_spec_from_file(self, runner, tmp_path):
         dom = tmp_path / "dom.json"
         dom.write_text(HOUSE)
@@ -176,6 +201,21 @@ class TestSimulate:
         payload = json.loads((tmp_path / "simulation.json").read_text())
         assert payload[0]["seed"] == 0
 
+    def test_plot_without_observed_outage(self, runner, tmp_path):
+        # Every trial connects, so no point lies on the log P_out axis.
+        res = runner.invoke(
+            main,
+            ["simulate", "--domain", '{"kind":"house","L":2}', "--model", MODEL,
+             "--rho-list", "3", "--trials", "5", "--threads", "1", "--plot",
+             "--out", str(tmp_path)],
+        )
+        assert res.exit_code == 0, res.output
+        _, rows = read_csv(tmp_path / "simulation.csv")
+        assert rows[0][3] == "5"
+        svg = ET.parse(tmp_path / "simulation.svg").getroot()
+        assert svg.tag == "{http://www.w3.org/2000/svg}svg"
+        assert "simulated outage" in [e.text for e in svg.iter()]
+
     def test_requires_trials(self, runner, tmp_path):
         res = runner.invoke(
             main,
@@ -212,7 +252,7 @@ class TestPhaseMap:
         assert header == ["rho", "L", "dominant_label"]
         assert len(rows) == 9
         for rho, L, label in rows:
-            assert label == analytic.dominant_component(float(L), 1.0, float(rho))
+            assert label == analytic.phase_map(1.0, [float(rho)], [float(L)])[0][2]
         assert (tmp_path / "phase_map.svg").exists()
 
 

@@ -124,7 +124,7 @@ class TestOuterIntegrals:
         f = BoundaryFeature(codim=3, measure=1.0, solid_angle=np.pi / 2, dihedral=np.pi / 2)
         assert_allclose(
             outer_integral(f, m, 1.0),
-            analytic.corner_term(np.pi / 2, 1.0).outer_integral(1.0),
+            analytic.term(f, m).outer_integral(1.0),
             rtol=1e-3,
         )
 
@@ -133,7 +133,7 @@ class TestOuterIntegrals:
         f = BoundaryFeature(codim=2, measure=5.0, solid_angle=np.pi, dihedral=np.pi / 2)
         assert_allclose(
             outer_integral(f, m, 1.0),
-            analytic.edge_term(np.pi / 2, 5.0, 1.0).outer_integral(1.0),
+            analytic.term(f, m).outer_integral(1.0),
             rtol=1e-2,
         )
 
@@ -142,7 +142,7 @@ class TestOuterIntegrals:
         f = BoundaryFeature(codim=0, measure=156.25, solid_angle=4 * np.pi)
         assert_allclose(
             outer_integral(f, m, 1.0),
-            analytic.bulk_term(156.25, 1.0).outer_integral(1.0),
+            analytic.term(f, m).outer_integral(1.0),
             rtol=1e-6,
         )
 
@@ -152,7 +152,7 @@ class TestOuterIntegrals:
         S = 4 * np.pi * R * R
         f = BoundaryFeature(codim=1, measure=S, solid_angle=2 * np.pi)
         assert_allclose(
-            outer_integral(f, m, 1.0), analytic.face_term(S, 1.0).outer_integral(1.0), rtol=1e-3
+            outer_integral(f, m, 1.0), analytic.term(f, m).outer_integral(1.0), rtol=1e-3
         )
 
     def test_hard_disk_bulk(self):
