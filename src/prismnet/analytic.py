@@ -40,7 +40,8 @@ class ClosedFormUnavailableError(ValueError):
 
 
 def _require_mimo(model: ConnectivityModel):
-    if model.family != MIMO_MRC_2X2 or model.eta != 2.0:
+    # ConnectivityModel fixes eta = 2 for this family.
+    if model.family != MIMO_MRC_2X2:
         raise ClosedFormUnavailableError(
             f"closed-form boundary terms exist only for {MIMO_MRC_2X2} with eta=2; "
             f"got {model.family} (use the quadrature pipeline instead)"
@@ -123,7 +124,7 @@ def terms(features: FeatureSet, model: ConnectivityModel) -> tuple[ContributionT
     )
 
 
-def cone_term(theta: float, model: ConnectivityModel, label: str = "K") -> ContributionTerm:
+def cone_term(theta: float, model: ConnectivityModel) -> ContributionTerm:
     """Corner approximated by a cone of equal solid angle theta (steradians).
 
     Shares the corner exponent exactly; the prefactor differs because a cone
@@ -134,7 +135,7 @@ def cone_term(theta: float, model: ConnectivityModel, label: str = "K") -> Contr
         raise ValueError("cone solid angle must lie in (0, 2 pi)")
     d = theta * theta - 6.0 * np.pi * theta + 8.0 * np.pi**2
     pref = 1024.0 * model.beta**3 * np.pi**4 / (343.0 * theta**2 * d * d)
-    return ContributionTerm(label, 3, pref, theta / (4.0 * np.pi) * bulk_mass(model))
+    return ContributionTerm("K", 3, pref, theta / (4.0 * np.pi) * bulk_mass(model))
 
 
 def corner_shape_function(theta) -> np.ndarray | float:
@@ -166,16 +167,8 @@ class PfcBreakdown:
     valid: bool
 
     @property
-    def p_out(self) -> float:
-        return min(1.0, self.p_out_raw)
-
-    @property
-    def p_fc_raw(self) -> float:
-        return 1.0 - self.p_out_raw
-
-    @property
     def p_fc(self) -> float:
-        return min(1.0, max(0.0, self.p_fc_raw))
+        return min(1.0, max(0.0, 1.0 - self.p_out_raw))
 
     @property
     def clamped(self) -> bool:

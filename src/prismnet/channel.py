@@ -146,8 +146,6 @@ def bulk_mass(model: ConnectivityModel) -> float:
         return (23.0 - math.sqrt(2.0)) / 4.0 * (np.pi / b) ** 1.5
     if model.family == RAYLEIGH:
         # 4 pi / eta * Gamma(3/eta) * beta^(-3/eta); finite for all eta > 0.
-        if model.eta <= 0:
-            raise ModelError("divergent connection mass")
         return 4.0 * np.pi / model.eta * gamma(3.0 / model.eta) * b ** (-3.0 / model.eta)
     return 4.0 / 3.0 * np.pi * model.r0**3
 

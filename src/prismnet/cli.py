@@ -51,6 +51,8 @@ _NUMERIC_ERRORS = (QuadratureError, ArithmeticError)
 # The JSON types a --config value may take, by the click type of its flag.
 _JSON_TYPES = {"boolean": (bool,), "integer": (int,), "float": (int, float), "text": (str,)}
 _SPEC_KEYS = ("domain_spec", "model_spec")
+# The most values a start:stop:step sweep may hold.
+_MAX_SWEEP_VALUES = 10**6
 
 
 class JobError(click.ClickException):
@@ -118,6 +120,8 @@ def _parse_sweep(range_spec: str | None, list_spec: str | None, name: str) -> tu
         a, b, step = (_parse_float(p, name) for p in parts)
         if step <= 0 or b < a:
             raise JobError(f"--{name} range must be increasing with positive step")
+        if not (b + 0.5 * step - a) / step <= _MAX_SWEEP_VALUES:
+            raise JobError(f"--{name} range holds more than {_MAX_SWEEP_VALUES} values")
         values = tuple(np.arange(a, b + 0.5 * step, step))
     elif list_spec:
         values = tuple(_parse_float(v, name) for v in list_spec.split(",") if v.strip())

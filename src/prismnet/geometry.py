@@ -6,6 +6,15 @@ by a right-angled isoceles roof, extruded to depth L -- is provided as a
 ready-made constructor because it is the main worked example of the
 analytic pipeline.
 
+Every domain lists its boundary features the same way: the bulk, one face
+entry, then edge and corner groups built by ``_inventory`` from
+(dihedral, length, count) edge entries and (dihedral, count) corner
+entries.  Dihedrals within ANGLE_TOL of each other form one angle class,
+and every member takes the class's first angle, so a class is one exact
+float wherever it is compared.  Within a class, edges of equal length merge
+into one feature with a multiplicity.  A domain whose volume or surface
+area overflows a float is rejected.
+
 All lengths are dimensionless program units.  Domains are immutable after
 construction and safe for concurrent reads; sampling takes a caller-owned
 numpy Generator.
@@ -15,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,10 +49,13 @@ class Polygon2D:
         if not np.all(np.isfinite(v)):
             raise GeometryError("polygon vertices must be finite")
         scale = float(np.max(np.abs(v))) or 1.0
-        edges = np.roll(v, -1, axis=0) - v
+        with np.errstate(over="ignore", invalid="ignore"):
+            edges = np.roll(v, -1, axis=0) - v
+            cross = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
+        if not np.all(np.isfinite(cross)):
+            raise GeometryError("polygon is too large: its edge cross products overflow")
         if np.any(np.hypot(edges[:, 0], edges[:, 1]) <= _VERTEX_TOL * scale):
             raise GeometryError("repeated vertices")
-        cross = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
         if np.any(cross <= 0.0):
             raise GeometryError("polygon must be strictly convex with CCW winding")
         self.vertices = v
@@ -107,8 +119,8 @@ class BoundaryFeature:
     dihedral: float | None = None
 
     def __post_init__(self):
-        if not self.measure > 0:
-            raise GeometryError(f"feature measure must be positive, got {self.measure}")
+        if not (math.isfinite(self.measure) and self.measure > 0):
+            raise GeometryError(f"feature measure must be positive and finite, got {self.measure}")
         if self.codim in (2, 3):
             if self.dihedral is None or not 0.0 < self.dihedral < np.pi:
                 raise GeometryError("edge/corner dihedral must lie in (0, pi)")
@@ -149,7 +161,8 @@ class Domain:
     def features(self) -> FeatureSet:
         raise NotImplementedError
 
-    def contains(self, points) -> np.ndarray | bool:
+    def contains(self, points) -> np.ndarray:
+        """Membership of each row of an (n, 3) point array (closed region)."""
         raise NotImplementedError
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -159,58 +172,64 @@ class Domain:
     def to_spec(self) -> dict:
         raise NotImplementedError
 
+    def _check_size(self):
+        """Reject a domain whose volume or surface area overflows a float."""
+        try:
+            finite = math.isfinite(self.volume) and math.isfinite(self.surface_area)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise GeometryError(
+                f"{self.kind} domain is too large: its volume or surface area overflows"
+            )
 
-def _group_corners(angles, counts):
-    """Merge corner angles equal within ANGLE_TOL into multiplicity groups."""
-    groups: list[list[float | int]] = []
-    for ang, cnt in zip(angles, counts):
+
+def _merge(entries) -> list[list]:
+    """Merge (dihedral, measure, count) entries into groups sorted by (dihedral, measure).
+
+    An entry whose dihedral lies within ANGLE_TOL of an earlier class takes
+    that class's first angle; within a class, equal measures (relative
+    ANGLE_TOL) add their counts.  Class first angles lie more than ANGLE_TOL
+    apart, so once an entry has joined a class no other class matches it.
+    """
+    groups: list[list] = []
+    for ang, measure, cnt in entries:
         for g in groups:
             if abs(g[0] - ang) <= ANGLE_TOL:
-                g[1] += cnt
-                break
+                ang = g[0]
+                if abs(g[1] - measure) <= ANGLE_TOL * max(1.0, measure):
+                    g[2] += cnt
+                    break
         else:
-            groups.append([ang, cnt])
-    groups.sort(key=lambda g: g[0])
-    return [
-        BoundaryFeature(codim=3, measure=1.0, solid_angle=a, multiplicity=c, dihedral=a)
-        for a, c in groups
-    ]
+            groups.append([ang, measure, cnt])
+    return sorted(groups)
 
 
-def _group_edges(entries):
-    """Merge (angle, length) edge entries equal within tolerance."""
-    groups: list[list[float | int]] = []
-    for ang, length, cnt in entries:
-        for g in groups:
-            if abs(g[0] - ang) <= ANGLE_TOL and abs(g[1] - length) <= ANGLE_TOL * max(1.0, length):
-                g[2] += cnt
-                break
-        else:
-            groups.append([ang, length, cnt])
-    groups.sort(key=lambda g: (g[0], g[1]))
-    return [
-        BoundaryFeature(codim=2, measure=length, solid_angle=2.0 * a, multiplicity=c, dihedral=a)
-        for a, length, c in groups
-    ]
-
-
-def _prism_features(base: Polygon2D, height: float, volume: float, area: float) -> FeatureSet:
-    angles = base.interior_angles()
-    corners = _group_corners(angles, [2] * base.q)
-    entries = []
-    # Cap edges: every base-polygon edge appears on both caps at a right angle.
-    for length in base.edge_lengths:
-        entries.append((0.5 * np.pi, float(length), 2))
-    # Axial edges: one per base vertex, dihedral equal to the vertex angle.
-    for ang in angles:
-        entries.append((float(ang), float(height), 1))
-    edges = _group_edges(entries)
+def _inventory(volume: float, area: float, edges, corners) -> FeatureSet:
+    """A domain's FeatureSet from (dihedral, length, count) edge entries and
+    (dihedral, count) corner entries; see ``_merge`` for the grouping."""
     return FeatureSet(
         bulk=BoundaryFeature(codim=0, measure=volume, solid_angle=4.0 * np.pi),
         face=BoundaryFeature(codim=1, measure=area, solid_angle=2.0 * np.pi),
-        edges=tuple(edges),
-        corners=tuple(corners),
+        edges=tuple(
+            BoundaryFeature(codim=2, measure=m, solid_angle=2.0 * a, multiplicity=c, dihedral=a)
+            for a, m, c in _merge(edges)
+        ),
+        corners=tuple(
+            BoundaryFeature(codim=3, measure=1.0, solid_angle=a, multiplicity=c, dihedral=a)
+            for a, _, c in _merge((a, 1.0, c) for a, c in corners)
+        ),
     )
+
+
+def _prism_features(base: Polygon2D, height: float, volume: float, area: float) -> FeatureSet:
+    angles = [float(a) for a in base.interior_angles()]
+    # Cap edges: every base-polygon edge appears on both caps at a right angle.
+    edges = [(0.5 * np.pi, float(length), 2) for length in base.edge_lengths]
+    # Axial edges: one per base vertex, dihedral equal to the vertex angle.
+    edges += [(ang, float(height), 1) for ang in angles]
+    # Corners: every base vertex on both caps.
+    return _inventory(volume, area, edges, [(ang, 2) for ang in angles])
 
 
 def _sample_triangle(a, b, c, u1, u2):
@@ -234,6 +253,8 @@ class RightPrism(Domain):
             raise GeometryError("prism height must be positive and finite")
         self.base = base
         self.height = float(height)
+        with np.errstate(over="ignore", invalid="ignore"):  # the base area may overflow
+            self._check_size()
         # Fan triangulation for exact uniform sampling over the base.
         v = base.vertices
         tris = [(v[0], v[i], v[i + 1]) for i in range(1, base.q - 1)]
@@ -259,11 +280,8 @@ class RightPrism(Domain):
 
     def contains(self, points):
         p = np.asarray(points, dtype=float)
-        single = p.ndim == 1
-        p = np.atleast_2d(p)
         ok = (p[:, 2] >= 0.0) & (p[:, 2] <= self.height)
-        ok &= self.base.contains(p[:, :2])
-        return bool(ok[0]) if single else ok
+        return ok & self.base.contains(p[:, :2])
 
     def sample(self, n, rng):
         # The same draws as rng.choice(triangles, size=n, p=weights).
@@ -305,6 +323,7 @@ class House(Domain):
         if not (math.isfinite(L) and L > 0):
             raise GeometryError("house side length must be positive and finite")
         self.L = float(L)
+        self._check_size()
 
     @property
     def volume(self) -> float:
@@ -320,16 +339,13 @@ class House(Domain):
 
     def contains(self, points):
         p = np.asarray(points, dtype=float)
-        single = p.ndim == 1
-        p = np.atleast_2d(p)
         L = self.L
         x, y, z = p[:, 0], p[:, 1], p[:, 2]
         inside_xy = (x >= 0) & (x <= L) & (y >= 0) & (y <= L)
         wall = z >= 0
         roof_halfwidth = 1.5 * L - z
         in_roof = (z <= 1.5 * L) & (np.abs(x - 0.5 * L) <= roof_halfwidth)
-        ok = inside_xy & wall & np.where(z <= L, True, in_roof)
-        return bool(ok[0]) if single else ok
+        return inside_xy & wall & np.where(z <= L, True, in_roof)
 
     def sample(self, n, rng):
         L = self.L
@@ -366,6 +382,7 @@ class HalfCylinder(Domain):
             raise GeometryError("half-cylinder radius and height must be positive and finite")
         self.radius = float(radius)
         self.height = float(height)
+        self._check_size()
 
     @property
     def volume(self) -> float:
@@ -379,32 +396,19 @@ class HalfCylinder(Domain):
     def features(self) -> FeatureSet:
         r, h = self.radius, self.height
         right = 0.5 * np.pi
-        corners = (
-            BoundaryFeature(codim=3, measure=1.0, solid_angle=right, multiplicity=4, dihedral=right),
-        )
-        edges = tuple(
-            BoundaryFeature(codim=2, measure=m, solid_angle=np.pi, multiplicity=c, dihedral=right)
-            for m, c in sorted([(np.pi * r, 2), (2.0 * r, 2), (h, 2)])
-        )
-        return FeatureSet(
-            bulk=BoundaryFeature(codim=0, measure=self.volume, solid_angle=4.0 * np.pi),
-            face=BoundaryFeature(codim=1, measure=self.surface_area, solid_angle=2.0 * np.pi),
-            edges=edges,
-            corners=corners,
-        )
+        # Two semicircle arcs, two flat-face ends, two axial edges; four corners.
+        edges = [(right, np.pi * r, 2), (right, 2.0 * r, 2), (right, h, 2)]
+        return _inventory(self.volume, self.surface_area, edges, [(right, 4)])
 
     def contains(self, points):
         p = np.asarray(points, dtype=float)
-        single = p.ndim == 1
-        p = np.atleast_2d(p)
         r, h = self.radius, self.height
-        ok = (
+        return (
             (p[:, 0] ** 2 + p[:, 1] ** 2 <= r**2 * (1.0 + 1e-15))
             & (p[:, 1] >= 0.0)
             & (p[:, 2] >= 0.0)
             & (p[:, 2] <= h)
         )
-        return bool(ok[0]) if single else ok
 
     def sample(self, n, rng):
         s = self.radius * np.sqrt(rng.random(n))

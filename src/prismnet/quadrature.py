@@ -188,18 +188,13 @@ def inner_face_closed_form(R: float, beta: float, r2: float | None = None) -> fl
     )
 
 
-def inner_bulk(model: ConnectivityModel) -> tuple[float, float]:
-    """(zeroth term, first-order term) of the bulk expansion.
+def inner_bulk(model: ConnectivityModel) -> float:
+    """The bulk link mass: the full-space connection mass 4 pi int s^2 H(s) ds.
 
-    The zeroth term is the full-space connection mass; the first-order term
-    vanishes by symmetry of cos(theta) sin(theta) over [0, pi] and is
-    returned so that cancellation can be asserted.
+    The bulk expansion has no first-order term: its angular factor
+    cos(theta) sin(theta) integrates to zero over [0, pi].
     """
-    zeroth = 4.0 * np.pi * _radial(model, _square)
-    angular = _quad(lambda t: math.cos(t) * math.sin(t), 0.0, np.pi)
-    radial = _radial(model, _square, slope=True) if model.smooth else 0.0
-    first = 2.0 * np.pi * angular * radial
-    return zeroth, first
+    return 4.0 * np.pi * _radial(model, _square)
 
 
 def outer_integral(feature: BoundaryFeature, model: ConnectivityModel, rho: float) -> float:
@@ -215,8 +210,7 @@ def outer_integral(feature: BoundaryFeature, model: ConnectivityModel, rho: floa
     if feature.codim and not model.smooth:
         raise ModelError("boundary outer integrals need a differentiable H")
     if feature.codim == 0:
-        zeroth, _ = inner_bulk(model)
-        return feature.measure * math.exp(-rho * zeroth)
+        return feature.measure * math.exp(-rho * inner_bulk(model))
     if feature.codim == 1:
         R = math.sqrt(feature.measure / (4.0 * np.pi))
         A = _face_zeroth(R, model)
@@ -257,20 +251,18 @@ class ValidationRow:
         return self.rel_error <= self.rel_tol
 
 
-def validation_suite(
-    betas=(0.5, 1.0, 2.0),
-    thetas=(np.pi / 3, np.pi / 2, 3 * np.pi / 4),
-    rho: float = 1.0,
-) -> list[ValidationRow]:
+def validation_suite() -> list[ValidationRow]:
     """Closed form vs quadrature for every inner and outer integral kind.
 
-    Inner comparisons run across the full (beta, theta) grid; outer
-    comparisons run at beta = 1 against the analytic terms.
+    Inner comparisons run across the (beta, theta) grid beta in {0.5, 1, 2},
+    theta in {pi/3, pi/2, 3pi/4}; outer comparisons run at beta = 1 and
+    rho = 1 against the analytic terms.
     """
     from . import analytic
 
     rows: list[ValidationRow] = []
-    for beta in betas:
+    thetas = (np.pi / 3, np.pi / 2, 3 * np.pi / 4)
+    for beta in (0.5, 1.0, 2.0):
         model = ConnectivityModel("mimo_mrc_2x2", beta, 2.0)
         r2 = 0.05 * model.r0
         z2 = 0.05 * model.r0
@@ -306,16 +298,15 @@ def validation_suite(
                 1e-4,
             )
         )
-        zeroth, _ = inner_bulk(model)
         rows.append(
-            ValidationRow("inner_bulk", {"beta": beta}, bulk_mass(model), zeroth, 1e-8)
+            ValidationRow("inner_bulk", {"beta": beta}, bulk_mass(model), inner_bulk(model), 1e-8)
         )
 
     # Outer integrals at beta = 1: the closed-form term against quadrature
     # over the same feature.  The face is compared on a sphere large enough
     # that the curvature deficit of the spherical patch is far below the
     # tolerance.
-    beta, theta, Rface, V = 1.0, np.pi / 2, 1e5, 156.25  # V: house(5) volume
+    beta, theta, rho, Rface, V = 1.0, np.pi / 2, 1.0, 1e5, 156.25  # V: house(5) volume
     model = ConnectivityModel("mimo_mrc_2x2", beta, 2.0)
     outer = [
         ("outer_corner", {"beta": beta, "theta": theta, "rho": rho},

@@ -11,7 +11,8 @@ Each chunk of trials allocates one workspace and every trial writes into
 it: per worker, two float64 arrays of N(N-1)/2 (pair uniforms and squared
 distances), i.e. 12.5 MB at N = 1250 and 800 MB at N = 10,000, plus
 cache-sized blocks for H and the link test.  Those two arrays are the
-memory ceiling of a trial.
+memory ceiling of a trial, and ``SimConfig`` refuses an N whose two arrays
+exceed the host's physical memory.
 
 Trials are fully determined by (seed, trial_index): random numbers come
 from a per-trial generator seeded with that pair, so serial, reordered,
@@ -21,6 +22,7 @@ and parallel execution all produce identical aggregates.
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -46,30 +48,30 @@ class SimConfig:
     domain: Domain
     model: ConnectivityModel
     trials: int
+    rho: float
     seed: int = DEFAULT_SEED
-    rho: float | None = None
-    n_nodes: int | None = None
 
     def __post_init__(self):
         if self.trials < 1:
             raise SimulationError("need at least one trial")
-        if (self.rho is None) == (self.n_nodes is None):
-            raise SimulationError("give exactly one of rho or n_nodes")
-        if self.rho is not None and not (math.isfinite(self.rho) and self.rho > 0):
+        if not (math.isfinite(self.rho) and self.rho > 0):
             raise SimulationError("density must be positive and finite")
-        if self.n == 0:
+        nodes = self.rho * self.domain.volume
+        n = self.n if math.isfinite(nodes) else math.inf
+        pair_bytes = 8.0 * n * (n - 1)  # a trial's two float64 arrays of N(N-1)/2
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if pair_bytes > memory:
+            raise SimulationError(
+                f"rho * V = {nodes:.4g} nodes need {pair_bytes / 2**30:.4g} GiB of pair arrays, "
+                f"more than the {memory / 2**30:.4g} GiB of physical memory"
+            )
+        if n == 0:
             raise SimulationError("need at least one node")
 
     @property
     def n(self) -> int:
-        """Node count: explicit N, or round-half-down of rho * V."""
-        if self.n_nodes is not None:
-            return self.n_nodes
+        """Node count: round-half-down of rho * V."""
         return int(np.ceil(self.rho * self.domain.volume - 0.5))
-
-    @property
-    def density(self) -> float:
-        return self.rho if self.rho is not None else self.n / self.domain.volume
 
 
 @dataclass(frozen=True)
@@ -175,7 +177,7 @@ def estimate(config: SimConfig, workers: int = 1) -> SimResult:
     return SimResult(
         domain_spec=config.domain.to_spec(),
         model_family=config.model.family,
-        rho=config.density,
+        rho=config.rho,
         n=config.n,
         n_trials=config.trials,
         fc_count=fc,
@@ -193,12 +195,15 @@ def sweep(
     seed: int = DEFAULT_SEED,
     workers: int = 1,
 ) -> list[SimResult]:
-    """One estimate per density; each density gets its own seed offset."""
+    """One estimate per density; each density gets its own seed offset.
+
+    Every density's config is built, and so checked, before the first runs.
+    """
     rho_values = list(rho_values)
     if any(b <= a for a, b in zip(rho_values, rho_values[1:])):
         raise SimulationError("density sweep must be strictly increasing")
-    results = []
-    for i, rho in enumerate(rho_values):
-        cfg = SimConfig(domain=domain, model=model, trials=trials, seed=seed + i, rho=float(rho))
-        results.append(estimate(cfg, workers=workers))
-    return results
+    configs = [
+        SimConfig(domain=domain, model=model, trials=trials, seed=seed + i, rho=float(rho))
+        for i, rho in enumerate(rho_values)
+    ]
+    return [estimate(cfg, workers=workers) for cfg in configs]

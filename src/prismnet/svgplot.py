@@ -1,7 +1,8 @@
 """Minimal SVG line/scatter plots, dependency-free.
 
-Good enough for outage-vs-density curves (log y axis) and phase maps;
-plotting is a pure view of data already written to CSV.
+Good enough for outage-vs-density curves and phase maps; plotting is a pure
+view of data already written to CSV.  Every curve plot has a log10 y axis
+with decade ticks, so points with y <= 0 are left out.
 """
 
 from __future__ import annotations
@@ -22,15 +23,13 @@ class Series:
     label: str
     style: str = "line"  # "line" | "dots"
     yerr: list | None = None
-    color: str | None = None
 
 
 @dataclass
 class Figure:
-    title: str = ""
-    x_label: str = ""
-    y_label: str = ""
-    log_y: bool = True
+    title: str
+    x_label: str
+    y_label: str
     series: list[Series] = field(default_factory=list)
 
     def add(self, *args, **kwargs):
@@ -42,19 +41,14 @@ class Figure:
             fh.write(svg)
 
     def render(self) -> str:
-        pts = [
-            (x, y)
-            for s in self.series
-            for x, y in zip(s.x, s.y)
-            if not self.log_y or y > 0
-        ]
+        pts = [(x, y) for s in self.series for x, y in zip(s.x, s.y) if y > 0]
         empty = not pts
         if empty:
-            # No plottable point (e.g. no positive y on a log axis): draw the
+            # No plottable point (no positive y on the log axis): draw the
             # frame and title over a unit range, without ticks.
             pts = [(0.0, 1.0)]
         xs = [p[0] for p in pts]
-        ys = [self._ty(p[1]) for p in pts]
+        ys = [math.log10(p[1]) for p in pts]
         x0, x1 = min(xs), max(xs)
         y0, y1 = min(ys), max(ys)
         if x1 == x0:
@@ -69,7 +63,7 @@ class Figure:
             return MARGIN_L + (x - x0) / (x1 - x0) * (WIDTH - MARGIN_L - MARGIN_R)
 
         def py(y):
-            return HEIGHT - MARGIN_B - (self._ty(y) - y0) / (y1 - y0) * (
+            return HEIGHT - MARGIN_B - (math.log10(y) - y0) / (y1 - y0) * (
                 HEIGHT - MARGIN_T - MARGIN_B
             )
 
@@ -83,24 +77,14 @@ class Figure:
         if not empty:
             out += self._x_ticks(x0, x1, px)
             out += self._y_ticks(y0, y1, py)
-        if self.title:
-            out.append(
-                f'<text x="{WIDTH / 2}" y="{MARGIN_T - 10}" text-anchor="middle" '
-                f'font-size="14">{self.title}</text>'
-            )
-        if self.x_label:
-            out.append(
-                f'<text x="{WIDTH / 2}" y="{HEIGHT - 12}" text-anchor="middle">{self.x_label}</text>'
-            )
-        if self.y_label:
-            out.append(
-                f'<text x="16" y="{HEIGHT / 2}" text-anchor="middle" '
-                f'transform="rotate(-90 16 {HEIGHT / 2})">{self.y_label}</text>'
-            )
+        out.append(
+            f'<text x="{WIDTH / 2}" y="{MARGIN_T - 10}" text-anchor="middle" '
+            f'font-size="14">{self.title}</text>'
+        )
+        out += _axis_labels(self.x_label, self.y_label)
         for i, s in enumerate(self.series):
-            color = s.color or PALETTE[i % len(PALETTE)]
-            keep = [(x, y, e) for x, y, e in zip(s.x, s.y, s.yerr or [0.0] * len(s.x))
-                    if not self.log_y or y > 0]
+            color = PALETTE[i % len(PALETTE)]
+            keep = [(x, y, e) for x, y, e in zip(s.x, s.y, s.yerr or [0.0] * len(s.x)) if y > 0]
             if not keep:
                 continue
             if s.style == "line":
@@ -113,7 +97,7 @@ class Figure:
                 for x, y, e in keep:
                     out.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{color}"/>')
                     if e:
-                        lo = max(y - e, 1e-300) if self.log_y else y - e
+                        lo = max(y - e, 1e-300)
                         out.append(
                             f'<line x1="{px(x):.2f}" y1="{py(lo):.2f}" x2="{px(x):.2f}" '
                             f'y2="{py(y + e):.2f}" stroke="{color}" stroke-width="1"/>'
@@ -126,9 +110,6 @@ class Figure:
             out.append(f'<text x="{WIDTH - 144}" y="{ly}">{s.label}</text>')
         out.append("</svg>")
         return "\n".join(out)
-
-    def _ty(self, y):
-        return math.log10(y) if self.log_y else y
 
     def _x_ticks(self, x0, x1, px):
         out = []
@@ -148,25 +129,23 @@ class Figure:
 
     def _y_ticks(self, y0, y1, py):
         out = []
-        if self.log_y:
-            ticks = [10.0**k for k in range(math.floor(y0), math.ceil(y1) + 1)]
-            labels = [f"1e{round(math.log10(t))}" for t in ticks]
-        else:
-            step = _nice_step(y1 - y0)
-            ticks, labels, t = [], [], math.ceil(y0 / step) * step
-            while t <= y1 + 1e-12:
-                ticks.append(t)
-                labels.append(f"{t:g}")
-                t += step
-        for t, lab in zip(ticks, labels):
-            yy = py(t)
+        for k in range(math.floor(y0), math.ceil(y1) + 1):
+            yy = py(10.0**k)
             if not MARGIN_T <= yy <= HEIGHT - MARGIN_B:
                 continue
             out.append(
                 f'<line x1="{MARGIN_L - 5}" y1="{yy:.1f}" x2="{MARGIN_L}" y2="{yy:.1f}" stroke="#333"/>'
             )
-            out.append(f'<text x="{MARGIN_L - 8}" y="{yy + 4:.1f}" text-anchor="end">{lab}</text>')
+            out.append(f'<text x="{MARGIN_L - 8}" y="{yy + 4:.1f}" text-anchor="end">1e{k}</text>')
         return out
+
+
+def _axis_labels(x_label, y_label):
+    return [
+        f'<text x="{WIDTH / 2}" y="{HEIGHT - 12}" text-anchor="middle">{x_label}</text>',
+        f'<text x="16" y="{HEIGHT / 2}" text-anchor="middle" '
+        f'transform="rotate(-90 16 {HEIGHT / 2})">{y_label}</text>',
+    ]
 
 
 def _nice_step(span):
@@ -204,13 +183,7 @@ def phase_map_svg(cells, path):
         ly = MARGIN_T + 16 * (i + 1)
         out.append(f'<rect x="{WIDTH - 150}" y="{ly - 10}" width="12" height="12" fill="{color}"/>')
         out.append(f'<text x="{WIDTH - 132}" y="{ly}">{label}</text>')
-    out.append(
-        f'<text x="{WIDTH / 2}" y="{HEIGHT - 12}" text-anchor="middle">node density</text>'
-    )
-    out.append(
-        f'<text x="16" y="{HEIGHT / 2}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {HEIGHT / 2})">L</text>'
-    )
+    out += _axis_labels("node density", "L")
     out.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(out))

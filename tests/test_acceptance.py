@@ -20,6 +20,7 @@ import math
 import os
 
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.integrate import trapezoid
@@ -102,7 +103,7 @@ def test_criterion_1_closed_form_fidelity(capsys):
 
 
 def test_criterion_2_quadrature_oracle(capsys):
-    rows = validation_suite(betas=(0.5, 1.0, 2.0), thetas=(np.pi / 3, np.pi / 2, 3 * np.pi / 4))
+    rows = validation_suite()
     failing = [r for r in rows if not r.passed]
     ok = not failing
     report(
@@ -122,6 +123,7 @@ def _sim_vs_analytic(domain, rho, seed):
     return b, r, diff, tol
 
 
+@pytest.mark.slow
 def test_criterion_3_house_sweep(capsys):
     domain = build_house(5.0)
     parts = []
@@ -142,6 +144,7 @@ def test_criterion_3_house_sweep(capsys):
     report(capsys, 3, ok, "house sweep vs analytic; " + "; ".join(parts))
 
 
+@pytest.mark.slow
 def test_criterion_4_half_cylinder_sweep(capsys):
     domain = build_half_cylinder(5.0, 4.0)
     parts = []
@@ -208,6 +211,7 @@ def test_criterion_6_exponent_laws(capsys):
     )
 
 
+@pytest.mark.slow
 def test_criterion_7_connectivity_exactness(capsys):
     n = 6
     agree6 = all(

@@ -44,6 +44,13 @@ def bulk(V):
     return BoundaryFeature(codim=0, measure=V, solid_angle=4.0 * np.pi)
 
 
+def rotated_square_prism(degrees):
+    """Square base of circumradius 5 turned by ``degrees``, height 3."""
+    a = math.radians(degrees)
+    base = [[5 * math.cos(a + k * np.pi / 2), 5 * math.sin(a + k * np.pi / 2)] for k in range(4)]
+    return build_right_prism(Polygon2D(base), 3.0)
+
+
 class TestTerms:
     def test_corner_right_angle(self):
         t = term(corner(np.pi / 2), mimo_mrc_2x2(1.0))
@@ -95,6 +102,20 @@ class TestTerms:
             term(corner(np.pi - 1e-9), m)
         with pytest.raises(ClosedFormUnavailableError):
             term(edge(np.pi - 1e-9, 1.0), m)
+
+    @pytest.mark.parametrize(
+        "degrees, total", [(0, "0x1.4fc1672c27917p-7"), (10, "0x1.4fc1672c27917p-7"),
+                           (30, "0x1.4fc1672c27914p-7")]
+    )
+    def test_right_angle_class_gets_one_label(self, degrees, total):
+        # The vertex angles lie within an ulp of the cap edges' 0.5 pi, and at
+        # 0 and 10 degrees the first is not 0.5 pi itself: one class, one label.
+        feats = rotated_square_prism(degrees).features()
+        assert [e.dihedral for e in feats.edges] == [0.5 * np.pi, 0.5 * np.pi]
+        b = assemble_pfc(feats, mimo_mrc_2x2(1.0), 1.0)
+        assert [t.label for t in b.terms] == ["U", "F", "E", "E", "C"]
+        # The total is the one the unmerged angles gave, bit for bit.
+        assert b.p_out_raw == float.fromhex(total)
 
 
 def assert_numbered_by_angle(labelled, prefix):

@@ -17,6 +17,8 @@ from prismnet.channel import mimo_mrc_2x2
 from prismnet.cli import main
 from prismnet.geometry import build_house
 
+from test_analytic import rotated_square_prism
+
 HOUSE = '{"kind":"house","L":5.0}'
 MODEL = '{"family":"mimo_mrc_2x2","beta":1.0}'
 
@@ -77,6 +79,21 @@ BAD_INPUTS = [
     ("vertex-angle-near-pi", ("analytic", "compare"),
      {"--domain": '{"kind":"prism","base":[[0,0],[1,0],[2,1e-9],[2,1],[0,1]],"height":1}'},
      None, "dihedral angle"),
+    # Jobs too large to run are refused before anything is allocated.
+    ("rho-range-too-long", SWEEP_COMMANDS, {"--rho-list": None, "--rho": "0.1:3:1e-12"}, None,
+     "more than 1000000 values"),
+    ("house-L1000-pairs", SIM_COMMANDS, {"--domain": '{"kind":"house","L":1000}'}, None,
+     "physical memory"),
+    ("rho-1e7-pairs", SIM_COMMANDS, {"--rho-list": "1e7"}, None, "physical memory"),
+    ("last-rho-pairs", SIM_COMMANDS, {"--rho-list": "1,1e7"}, None, "physical memory"),
+    # Sizes whose volume or surface area overflows a float.
+    ("prism-base-1e160", ("analytic", "simulate"),
+     {"--domain": '{"kind":"prism","base":[[0,0],[1e160,0],[0,1e160]],"height":1}'}, None,
+     "too large"),
+    ("house-L-1e120", ("analytic", "simulate"), {"--domain": '{"kind":"house","L":1e120}'}, None,
+     "too large"),
+    ("half-cylinder-r-1e200", ("analytic", "simulate"),
+     {"--domain": '{"kind":"half_cylinder","r":1e200,"h":1}'}, None, "too large"),
 ]
 
 
@@ -160,6 +177,18 @@ class TestAnalytic:
             "rho", "U", "F", *(f"E{i}" for i in range(1, 14)), *(f"C{i}" for i in range(1, 13)),
             "total", "p_fc",
         ]
+
+    @pytest.mark.parametrize("degrees", [0, 10, 30])
+    def test_right_angle_class_one_column(self, runner, tmp_path, degrees):
+        domain = json.dumps(rotated_square_prism(degrees).to_spec())
+        res = runner.invoke(
+            main,
+            ["analytic", "--domain", domain, "--model", MODEL, "--rho-list", "1.0",
+             "--out", str(tmp_path)],
+        )
+        assert res.exit_code == 0, res.output
+        header, _ = read_csv(tmp_path / "analytic_components.csv")
+        assert header == ["rho", "U", "F", "E", "C", "total", "p_fc"]
 
     def test_spec_from_file(self, runner, tmp_path):
         dom = tmp_path / "dom.json"

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from prismnet.geometry import (
+    BoundaryFeature,
     GeometryError,
     Polygon2D,
     build_half_cylinder,
@@ -209,6 +210,24 @@ class TestSpecs:
         ):
             with pytest.raises(GeometryError):
                 domain_from_spec(spec)
+
+    @pytest.mark.filterwarnings("error")  # an overflow RuntimeWarning fails the test
+    def test_overflowing_sizes(self):
+        for build in (
+            lambda: build_house(1e120),
+            lambda: build_half_cylinder(1e200, 1.0),
+            lambda: build_half_cylinder(10.0, 1e308),
+            lambda: build_right_prism(Polygon2D([[0, 0], [1e160, 0], [0, 1e160]]), 1.0),
+            lambda: Polygon2D([[-1e308, 0], [1e308, 0], [0, 1e308]]),
+            # Finite edge cross products, but the shoelace area overflows.
+            lambda: build_right_prism(
+                Polygon2D([[1e155, 1e155], [1.001e155, 1e155], [1e155, 1.001e155]]), 1.0
+            ),
+        ):
+            with pytest.raises(GeometryError, match="too large"):
+                build()
+        with pytest.raises(GeometryError, match="finite"):
+            BoundaryFeature(codim=0, measure=math.inf, solid_angle=4 * np.pi)
 
     @pytest.mark.parametrize(
         "spec, field",

@@ -225,19 +225,10 @@ class TestConfig:
         for rho, n in ((0.8, 125), (1.0, 156), (1.2, 187)):
             assert SimConfig(domain=d, model=m, trials=1, rho=rho).n == n
 
-    def test_explicit_n(self):
-        cfg = SimConfig(domain=build_house(5.0), model=mimo_mrc_2x2(1.0), trials=1, n_nodes=10)
-        assert cfg.n == 10
-        assert_allclose(cfg.density, 10 / 156.25)
-
     def test_validation(self):
         d, m = build_house(1.0), mimo_mrc_2x2(1.0)
         with pytest.raises(SimulationError):
             SimConfig(domain=d, model=m, trials=0, rho=1.0)
-        with pytest.raises(SimulationError):
-            SimConfig(domain=d, model=m, trials=1)
-        with pytest.raises(SimulationError):
-            SimConfig(domain=d, model=m, trials=1, rho=1.0, n_nodes=5)
         for rho in (-1.0, float("nan"), float("inf")):
             with pytest.raises(SimulationError):
                 SimConfig(domain=d, model=m, trials=1, rho=rho)
