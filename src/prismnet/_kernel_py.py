@@ -39,6 +39,11 @@ class Workspace:
         self.link = np.empty(block, dtype=bool)
 
 
+def workspace_bytes(n) -> float:
+    """Bytes of the pair arrays of a ``Workspace(n)``; the block buffers are left out."""
+    return 8.0 * n * (n - 1)
+
+
 def _links(u, d2, model: ConnectivityModel, ws: Workspace) -> np.ndarray:
     """Indices k of the linked pairs, u[k] < H(d2[k]), block by block."""
     found = []

@@ -77,8 +77,8 @@ class ContributionTerm:
         return self.multiplicity * np.asarray(rho, dtype=float) * self.outer_integral(rho)
 
 
-def term(feature: BoundaryFeature, model: ConnectivityModel, label: str = "") -> ContributionTerm:
-    """Closed-form outage term of one boundary feature group.
+def term(feature: BoundaryFeature, model: ConnectivityModel) -> ContributionTerm:
+    """Closed-form outage term of one boundary feature group, under the feature's label.
 
     Prefactors by codimension, with the feature measure V, S or L: bulk V;
     face 2 beta S / (7 pi); edge 16 L beta^2 / (49 pi^2 sin theta); corner
@@ -97,31 +97,12 @@ def term(feature: BoundaryFeature, model: ConnectivityModel, label: str = "") ->
     else:
         pref = 256.0 * beta**3 / (343.0 * np.pi**2 * theta * math.sin(theta))
     rate = feature.solid_angle / (4.0 * np.pi) * bulk_mass(model)
-    return ContributionTerm(label, feature.codim, pref, rate, feature.multiplicity)
-
-
-def _angle_class_labels(features, prefix: str) -> dict[float, str]:
-    angles = sorted({f.dihedral for f in features})
-    if len(angles) == 1:
-        return {angles[0]: prefix}
-    return {a: f"{prefix}{i + 1}" for i, a in enumerate(angles)}
+    return ContributionTerm(feature.label, feature.codim, pref, rate, feature.multiplicity)
 
 
 def terms(features: FeatureSet, model: ConnectivityModel) -> tuple[ContributionTerm, ...]:
-    """The labelled terms of a whole domain: U, F, then E..., then C...
-
-    Edge and corner groups are labelled E1, E2, ... / C1, C2, ... in
-    increasing dihedral-angle order, collapsing to E / C when a single
-    angle class is present.
-    """
-    edge_labels = _angle_class_labels(features.edges, "E")
-    corner_labels = _angle_class_labels(features.corners, "C")
-    return (
-        term(features.bulk, model, "U"),
-        term(features.face, model, "F"),
-        *(term(e, model, edge_labels[e.dihedral]) for e in features.edges),
-        *(term(c, model, corner_labels[c.dihedral]) for c in features.corners),
-    )
+    """The terms of a whole domain, one per feature: U, F, then E..., then C..."""
+    return tuple(term(f, model) for f in features.all_features())
 
 
 def cone_term(theta: float, model: ConnectivityModel) -> ContributionTerm:
@@ -189,12 +170,20 @@ class PfcBreakdown:
         return max(vals, key=lambda k: (vals[k], codim[k]))
 
 
+def _overflow(rho: float) -> OverflowError:
+    """The error for a density whose outage is not finite, as where rho^(1-l) overflows."""
+    return OverflowError(f"the closed-form outage overflows at density {rho:g}")
+
+
 def assemble_pfc(features: FeatureSet, model: ConnectivityModel, rho: float) -> PfcBreakdown:
     """Sum the labelled terms of a domain (see ``terms``) at density rho."""
     domain_terms = terms(features, model)
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("density must be positive and finite")
-    p_out_raw = float(sum(t.contribution(rho) for t in domain_terms))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total raises below
+        p_out_raw = float(sum(t.contribution(rho) for t in domain_terms))
+    if not math.isfinite(p_out_raw):
+        raise _overflow(rho)
     char_length = features.bulk.measure ** (1.0 / 3.0)
     valid = p_out_raw <= 1.0 and math.sqrt(model.beta) * char_length >= VALIDITY_SCALE
     return PfcBreakdown(domain_terms, float(rho), p_out_raw, valid)
@@ -230,9 +219,13 @@ def phase_map(beta: float, rho_grid, L_grid) -> list[tuple[float, float, str]]:
         feats = build_house(float(L)).features()
         # Group terms once per L; evaluate the whole rho row vectorized.
         rows = {g: np.zeros_like(rho_grid) for g in GROUP_ORDER}
-        for t in terms(feats, model):
-            rows[_GROUP_OF_CODIM[t.codim]] += t.contribution(rho_grid)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite group raises below
+            for t in terms(feats, model):
+                rows[_GROUP_OF_CODIM[t.codim]] += t.contribution(rho_grid)
         stacked = np.vstack([rows[g] for g in GROUP_ORDER])
+        finite = np.isfinite(stacked).all(axis=0)
+        if not finite.all():
+            raise _overflow(rho_grid[~finite][0])
         # argmax over reversed order so that equal values pick higher codim.
         winner = len(GROUP_ORDER) - 1 - np.argmax(stacked[::-1], axis=0)
         for rho, w in zip(rho_grid, winner):

@@ -14,7 +14,6 @@ effective communication range is r0 = beta^(-1/eta).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -51,8 +50,6 @@ class ConnectivityModel:
     @property
     def r0(self) -> float:
         """Effective communication range beta^(-1/eta)."""
-        if self.family == HARD_DISK:
-            return self.beta ** (-0.5)  # beta stored as r0^-2, see hard_disk()
         return self.beta ** (-1.0 / self.eta)
 
     @property
@@ -158,17 +155,13 @@ _MODEL_FIELDS = {
 }
 
 
-def model_from_spec(spec: dict | str) -> ConnectivityModel:
-    """Build a model from its JSON specification.
-
-    Accepted forms::
+def model_from_spec(spec: dict) -> ConnectivityModel:
+    """Build a model from its specification, a dict of one of these forms::
 
         {"family": "mimo_mrc_2x2", "beta": 1.0}
         {"family": "rayleigh", "beta": 1.0, "eta": 2.0}
         {"family": "hard_disk", "r0": 1.0}
     """
-    if isinstance(spec, str):
-        spec = json.loads(spec)
     if not isinstance(spec, dict) or "family" not in spec:
         raise ModelError("model spec must be an object with a 'family' field")
     family = spec["family"]
@@ -178,13 +171,9 @@ def model_from_spec(spec: dict | str) -> ConnectivityModel:
     if extra:
         raise ModelError(f"{family} model spec has unknown field(s): {', '.join(extra)}")
     try:
-        if family == MIMO_MRC_2X2:
-            if float(spec.get("eta", 2.0)) != 2.0:
-                raise ModelError("the 2x2 MIMO MRC closed form requires eta = 2")
-            return mimo_mrc_2x2(float(spec["beta"]))
-        if family == RAYLEIGH:
-            return rayleigh(float(spec["beta"]), float(spec.get("eta", 2.0)))
-        return hard_disk(float(spec["r0"]))
+        if family == HARD_DISK:
+            return hard_disk(float(spec["r0"]))
+        return ConnectivityModel(family, float(spec["beta"]), float(spec.get("eta", 2.0)))
     except ModelError:
         raise
     except KeyError as exc:

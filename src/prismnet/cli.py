@@ -3,14 +3,16 @@
 Subcommands: analytic, simulate, compare, phase-map, validate.  Inputs are
 domain/model specs (inline JSON or a path to a JSON file) plus a density
 sweep; outputs are CSV files, a JSON mirror for simulation results, and
-optional SVG plots.  Everything is deterministic given the full job spec,
-including the seed.
+optional SVG plots, written to ``--out`` (or the job file's ``out``).
+Everything is deterministic given the full job spec, including the seed.
 
 Each invocation is resolved once into a checked ``Job``: the flags, with a
-``--config`` JSON file laid over them, before any work starts.
+``--config`` JSON file laid over them, before any work starts.  This module
+is the only place a spec given as text is parsed; the library takes dicts.
 
 Exit codes: 0 ok, 1 validation-suite failure, 2 config error, 3 numeric
-failure.  The output directory can be overridden with PRISMNET_OUT.
+failure (a quadrature that misses its tolerance, or a closed-form outage that
+overflows).
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ def _resolve(ctx: click.Context, flags: dict) -> Job:
     if config_path:
         flags = _merge_config(ctx, flags, config_path)
     job = {
-        "out": Path(os.environ.get("PRISMNET_OUT") or flags["out"] or "."),
+        "out": Path(flags["out"] or "."),
         "plot": flags.get("plot", False),
     }
     if "domain_spec" in flags:
@@ -215,12 +217,15 @@ _TRIALS = click.option(
     "--trials", type=click.IntRange(min=1), help="Monte Carlo trials per density (required)"
 )
 _THREADS = click.option(
-    "--threads", type=click.IntRange(min=1), help="worker processes (default: all cores)"
+    "--threads",
+    type=click.IntRange(min=1),
+    help="upper bound on worker processes (default: all cores): at most one per trial and "
+    "per workspace that fits in physical memory",
 )
 _SEED = click.option(
     "--seed", type=click.IntRange(min=0), default=DEFAULT_SEED, show_default=True, help="RNG seed"
 )
-_OUT = click.option("--out", help="output directory (default cwd; PRISMNET_OUT overrides)")
+_OUT = click.option("--out", help="output directory (default: the current directory)")
 _PLOT = click.option("--plot", is_flag=True, help="also emit SVG plots")
 _CONFIG = click.option("--config", "config_path", help="JSON job file; overrides flags")
 

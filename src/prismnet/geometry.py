@@ -12,8 +12,10 @@ entry, then edge and corner groups built by ``_inventory`` from
 entries.  Dihedrals within ANGLE_TOL of each other form one angle class,
 and every member takes the class's first angle, so a class is one exact
 float wherever it is compared.  Within a class, edges of equal length merge
-into one feature with a multiplicity.  A domain whose volume or surface
-area overflows a float is rejected.
+into one feature with a multiplicity.  Every feature is named: U, F, then
+E or E1, E2, ... and C or C1, C2, ... by increasing angle.  A domain whose
+volume or surface area overflows a float is too large; one whose volume,
+surface area or base cross products underflow is too small.
 
 All lengths are dimensionless program units.  Domains are immutable after
 construction and safe for concurrent reads; sampling takes a caller-owned
@@ -22,7 +24,6 @@ numpy Generator.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -54,9 +55,13 @@ class Polygon2D:
             cross = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
         if not np.all(np.isfinite(cross)):
             raise GeometryError("polygon is too large: its edge cross products overflow")
-        if np.any(np.hypot(edges[:, 0], edges[:, 1]) <= _VERTEX_TOL * scale):
+        lengths = np.hypot(edges[:, 0], edges[:, 1])
+        if np.any(lengths <= _VERTEX_TOL * scale):
             raise GeometryError("repeated vertices")
         if np.any(cross <= 0.0):
+            # |cross| is at most the product of the two edge lengths.
+            if np.any(lengths * np.roll(lengths, -1) < np.finfo(float).tiny):
+                raise GeometryError("polygon is too small: its edge cross products underflow")
             raise GeometryError("polygon must be strictly convex with CCW winding")
         self.vertices = v
         self.vertices.setflags(write=False)
@@ -93,8 +98,7 @@ class Polygon2D:
         return np.pi - np.arctan2(cross, dot)
 
     def contains(self, xy: np.ndarray) -> np.ndarray:
-        """Vectorized point-in-polygon test (closed region)."""
-        xy = np.atleast_2d(xy)
+        """Membership of each row of an (n, 2) point array (closed region)."""
         v = self.vertices
         e = self.edge_vectors
         scale = float(np.max(np.abs(v))) or 1.0
@@ -109,7 +113,8 @@ class BoundaryFeature:
 
     ``measure`` is the (3 - codim)-dimensional size: volume for the bulk,
     total area for the face entry, length for an edge, 1 for a corner.
-    ``dihedral`` is set for edges and corners only.
+    ``dihedral`` is set for edges and corners only.  ``label`` names the
+    feature's term (U, F, E..., C...) in a domain's inventory.
     """
 
     codim: int
@@ -117,6 +122,7 @@ class BoundaryFeature:
     solid_angle: float
     multiplicity: int = 1
     dihedral: float | None = None
+    label: str = ""
 
     def __post_init__(self):
         if not (math.isfinite(self.measure) and self.measure > 0):
@@ -173,24 +179,30 @@ class Domain:
         raise NotImplementedError
 
     def _check_size(self):
-        """Reject a domain whose volume or surface area overflows a float."""
+        """Reject a domain whose volume or surface area overflows a float or underflows to 0."""
         try:
-            finite = math.isfinite(self.volume) and math.isfinite(self.surface_area)
+            sizes = (self.volume, self.surface_area)
         except OverflowError:
-            finite = False
-        if not finite:
+            sizes = (math.inf,)
+        if not all(math.isfinite(x) for x in sizes):
             raise GeometryError(
                 f"{self.kind} domain is too large: its volume or surface area overflows"
             )
+        if not all(x > 0 for x in sizes):
+            raise GeometryError(
+                f"{self.kind} domain is too small: its volume or surface area underflows"
+            )
 
 
-def _merge(entries) -> list[list]:
-    """Merge (dihedral, measure, count) entries into groups sorted by (dihedral, measure).
+def _merge(entries, prefix: str) -> list[tuple]:
+    """Merge (dihedral, measure, count) entries into (label, dihedral, measure,
+    count) groups sorted by (dihedral, measure).
 
     An entry whose dihedral lies within ANGLE_TOL of an earlier class takes
     that class's first angle; within a class, equal measures (relative
     ANGLE_TOL) add their counts.  Class first angles lie more than ANGLE_TOL
     apart, so once an entry has joined a class no other class matches it.
+    One class is labelled ``prefix``; several are numbered by increasing angle.
     """
     groups: list[list] = []
     for ang, measure, cnt in entries:
@@ -202,22 +214,28 @@ def _merge(entries) -> list[list]:
                     break
         else:
             groups.append([ang, measure, cnt])
-    return sorted(groups)
+    angles = sorted({g[0] for g in groups})
+    label = {a: f"{prefix}{i + 1}" if len(angles) > 1 else prefix for i, a in enumerate(angles)}
+    return [(label[a], a, m, c) for a, m, c in sorted(groups)]
 
 
 def _inventory(volume: float, area: float, edges, corners) -> FeatureSet:
-    """A domain's FeatureSet from (dihedral, length, count) edge entries and
-    (dihedral, count) corner entries; see ``_merge`` for the grouping."""
+    """A domain's labelled FeatureSet from (dihedral, length, count) edge
+    entries and (dihedral, count) corner entries; see ``_merge``."""
     return FeatureSet(
-        bulk=BoundaryFeature(codim=0, measure=volume, solid_angle=4.0 * np.pi),
-        face=BoundaryFeature(codim=1, measure=area, solid_angle=2.0 * np.pi),
+        bulk=BoundaryFeature(codim=0, measure=volume, solid_angle=4.0 * np.pi, label="U"),
+        face=BoundaryFeature(codim=1, measure=area, solid_angle=2.0 * np.pi, label="F"),
         edges=tuple(
-            BoundaryFeature(codim=2, measure=m, solid_angle=2.0 * a, multiplicity=c, dihedral=a)
-            for a, m, c in _merge(edges)
+            BoundaryFeature(
+                codim=2, measure=m, solid_angle=2.0 * a, multiplicity=c, dihedral=a, label=lab
+            )
+            for lab, a, m, c in _merge(edges, "E")
         ),
         corners=tuple(
-            BoundaryFeature(codim=3, measure=1.0, solid_angle=a, multiplicity=c, dihedral=a)
-            for a, _, c in _merge((a, 1.0, c) for a, c in corners)
+            BoundaryFeature(
+                codim=3, measure=1.0, solid_angle=a, multiplicity=c, dihedral=a, label=lab
+            )
+            for lab, a, _, c in _merge(((a, 1.0, c) for a, c in corners), "C")
         ),
     )
 
@@ -440,17 +458,13 @@ _DOMAIN_FIELDS = {
 }
 
 
-def domain_from_spec(spec: dict | str) -> Domain:
-    """Build a domain from its JSON specification.
-
-    Accepted forms::
+def domain_from_spec(spec: dict) -> Domain:
+    """Build a domain from its specification, a dict of one of these forms::
 
         {"kind": "house", "L": 5.0}
         {"kind": "half_cylinder", "r": 5.0, "h": 4.0}
         {"kind": "prism", "base": [[x, y], ...], "height": h}
     """
-    if isinstance(spec, str):
-        spec = json.loads(spec)
     if not isinstance(spec, dict) or "kind" not in spec:
         raise GeometryError("domain spec must be an object with a 'kind' field")
     kind = spec["kind"]

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .channel import ConnectivityModel, ModelError, bulk_mass, h, h_prime
+from . import analytic
+from .channel import ConnectivityModel, ModelError, bulk_mass, h, h_prime, mimo_mrc_2x2
 from .geometry import BoundaryFeature
 
 # Beyond beta * r^eta = 50 the link probability is below 1e-18 for every
@@ -258,12 +259,10 @@ def validation_suite() -> list[ValidationRow]:
     theta in {pi/3, pi/2, 3pi/4}; outer comparisons run at beta = 1 and
     rho = 1 against the analytic terms.
     """
-    from . import analytic
-
     rows: list[ValidationRow] = []
     thetas = (np.pi / 3, np.pi / 2, 3 * np.pi / 4)
     for beta in (0.5, 1.0, 2.0):
-        model = ConnectivityModel("mimo_mrc_2x2", beta, 2.0)
+        model = mimo_mrc_2x2(beta)
         r2 = 0.05 * model.r0
         z2 = 0.05 * model.r0
         for theta in thetas:
@@ -307,7 +306,7 @@ def validation_suite() -> list[ValidationRow]:
     # that the curvature deficit of the spherical patch is far below the
     # tolerance.
     beta, theta, rho, Rface, V = 1.0, np.pi / 2, 1.0, 1e5, 156.25  # V: house(5) volume
-    model = ConnectivityModel("mimo_mrc_2x2", beta, 2.0)
+    model = mimo_mrc_2x2(beta)
     outer = [
         ("outer_corner", {"beta": beta, "theta": theta, "rho": rho},
          BoundaryFeature(codim=3, measure=1.0, solid_angle=theta, dihedral=theta), 1e-3),

@@ -8,11 +8,12 @@ stops at an isolated node, and otherwise runs a breadth-first search over
 a dense adjacency.
 
 Each chunk of trials allocates one workspace and every trial writes into
-it: per worker, two float64 arrays of N(N-1)/2 (pair uniforms and squared
-distances), i.e. 12.5 MB at N = 1250 and 800 MB at N = 10,000, plus
-cache-sized blocks for H and the link test.  Those two arrays are the
-memory ceiling of a trial, and ``SimConfig`` refuses an N whose two arrays
-exceed the host's physical memory.
+it: two float64 arrays of N(N-1)/2 (pair uniforms and squared distances),
+i.e. 12.5 MB at N = 1250 and 800 MB at N = 10,000, plus cache-sized blocks
+for H and the link test.  A run holds one workspace per worker, and
+physical memory is its budget: ``SimConfig`` refuses an N whose one
+workspace exceeds it, and ``estimate`` runs no more workers than there are
+trials or workspaces that fit in it.
 
 Trials are fully determined by (seed, trial_index): random numbers come
 from a per-trial generator seeded with that pair, so serial, reordered,
@@ -38,6 +39,9 @@ BACKEND = "python"
 
 DEFAULT_SEED = 20140904
 
+# The memory budget of a run's workspaces.
+PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
 
 class SimulationError(ValueError):
     """Invalid simulation configuration."""
@@ -58,12 +62,11 @@ class SimConfig:
             raise SimulationError("density must be positive and finite")
         nodes = self.rho * self.domain.volume
         n = self.n if math.isfinite(nodes) else math.inf
-        pair_bytes = 8.0 * n * (n - 1)  # a trial's two float64 arrays of N(N-1)/2
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if pair_bytes > memory:
+        need = _kernel.workspace_bytes(n)
+        if need > PHYSICAL_MEMORY:
             raise SimulationError(
-                f"rho * V = {nodes:.4g} nodes need {pair_bytes / 2**30:.4g} GiB of pair arrays, "
-                f"more than the {memory / 2**30:.4g} GiB of physical memory"
+                f"rho * V = {nodes:.4g} nodes need {need / 2**30:.4g} GiB of pair arrays, "
+                f"more than the {PHYSICAL_MEMORY / 2**30:.4g} GiB of physical memory"
             )
         if n == 0:
             raise SimulationError("need at least one node")
@@ -72,12 +75,6 @@ class SimConfig:
     def n(self) -> int:
         """Node count: round-half-down of rho * V."""
         return int(np.ceil(self.rho * self.domain.volume - 0.5))
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    connected: bool
-    min_degree: int
 
 
 @dataclass(frozen=True)
@@ -132,33 +129,38 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial_index]))
 
 
-def run_trial(config: SimConfig, trial_index: int, workspace=None) -> TrialOutcome:
-    """One trial; ``workspace`` is a ``_kernel.Workspace(config.n)`` to reuse."""
+def run_trial(config: SimConfig, trial_index: int, workspace=None) -> tuple[bool, int]:
+    """One trial's (connected, min_degree); ``workspace`` is a ``_kernel.Workspace(config.n)``."""
     n = config.n
     ws = _kernel.Workspace(n) if workspace is None else workspace
     rng = trial_rng(config.seed, trial_index)
-    pos = np.ascontiguousarray(config.domain.sample(n, rng))
-    u = rng.random(out=ws.u)
-    connected, min_degree = _kernel.pair_graph_stats(pos, u, config.model, ws)
-    return TrialOutcome(connected=connected, min_degree=min_degree)
+    pos = config.domain.sample(n, rng)
+    return _kernel.pair_graph_stats(pos, rng.random(out=ws.u), config.model, ws)
 
 
 def _count_range(config: SimConfig, start: int, stop: int) -> tuple[int, int]:
+    # The kernel calls a single node connected, and a connected graph of
+    # two or more nodes has no isolated node.
     fc = 0
     deg_ok = 0
     workspace = _kernel.Workspace(config.n)
     for t in range(start, stop):
-        outcome = run_trial(config, t, workspace)
-        if outcome.connected:
-            fc += 1
-        if outcome.min_degree >= 1 or config.n == 1:
-            deg_ok += 1
+        connected, min_degree = run_trial(config, t, workspace)
+        fc += connected
+        deg_ok += connected or min_degree >= 1
     return fc, deg_ok
 
 
 def estimate(config: SimConfig, workers: int = 1) -> SimResult:
-    """Aggregate `config.trials` independent trials into a SimResult."""
+    """Aggregate `config.trials` independent trials into a SimResult.
+
+    Runs at most ``workers`` processes, one per trial and per workspace that
+    fits in physical memory; the counts do not depend on how many run.
+    """
     t0 = time.perf_counter()
+    need = _kernel.workspace_bytes(config.n)
+    fit = int(PHYSICAL_MEMORY // need) if need else workers
+    workers = min(workers, config.trials, fit)
     if workers > 1:
         chunks = np.linspace(0, config.trials, workers + 1, dtype=int)
         fc = deg_ok = 0

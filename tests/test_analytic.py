@@ -149,6 +149,7 @@ def test_terms_follow_features(gaps, axes, height, beta):
     ts = terms(feats, model)
     features = feats.all_features()
     assert len(ts) == len(features)
+    assert [t.label for t in ts] == [f.label for f in features]
     for t, f in zip(ts, features):
         assert (t.codim, t.multiplicity) == (f.codim, f.multiplicity)
         assert t.exponent_rate == f.solid_angle / (4.0 * np.pi) * bulk_mass(model)

@@ -157,7 +157,7 @@ class TestInPlaceExactness:
 class TestSpecs:
     def test_parse(self):
         assert model_from_spec({"family": "mimo_mrc_2x2", "beta": 2.0}).beta == 2.0
-        m = model_from_spec('{"family": "rayleigh", "beta": 1.0, "eta": 3.0}')
+        m = model_from_spec({"family": "rayleigh", "beta": 1.0, "eta": 3.0})
         assert m.eta == 3.0
         assert model_from_spec({"family": "hard_disk", "r0": 2.0}).r0 == pytest.approx(2.0)
 
@@ -168,6 +168,8 @@ class TestSpecs:
             model_from_spec({"family": "rayleigh"})
         with pytest.raises(ModelError):
             model_from_spec({"beta": 1.0})
+        with pytest.raises(ModelError, match="must be an object"):
+            model_from_spec('{"family": "mimo_mrc_2x2", "beta": 1.0}')
         with pytest.raises(ModelError):
             mimo_mrc_2x2(-1.0)
         for bad in (math.nan, math.inf):

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -94,6 +95,14 @@ BAD_INPUTS = [
      "too large"),
     ("half-cylinder-r-1e200", ("analytic", "simulate"),
      {"--domain": '{"kind":"half_cylinder","r":1e200,"h":1}'}, None, "too large"),
+    # Sizes whose volume, surface area or base cross products underflow.
+    ("house-L-1e-200", ("analytic", "simulate"), {"--domain": '{"kind":"house","L":1e-200}'},
+     None, "too small"),
+    ("prism-base-1e-200", ("analytic", "simulate"),
+     {"--domain": '{"kind":"prism","base":[[0,0],[1e-200,0],[0,1e-200]],"height":1}'}, None,
+     "too small"),
+    ("half-cylinder-r-1e-200", ("analytic", "simulate"),
+     {"--domain": '{"kind":"half_cylinder","r":1e-200,"h":1}'}, None, "too small"),
 ]
 
 
@@ -389,14 +398,27 @@ class TestConfigAndErrors:
         a = (tmp_path / "a" / "analytic_components.csv").read_bytes()
         assert a == (tmp_path / "b" / "analytic_components.csv").read_bytes()
 
-    def test_env_out_dir(self, runner, tmp_path, monkeypatch):
-        env_dir = tmp_path / "env"
-        monkeypatch.setenv("PRISMNET_OUT", str(env_dir))
-        res = runner.invoke(
-            main, ["analytic", "--domain", HOUSE, "--model", MODEL, "--rho-list", "1.0"]
-        )
-        assert res.exit_code == 0
-        assert (env_dir / "analytic_components.csv").exists()
+    @pytest.mark.filterwarnings("error")  # an overflow RuntimeWarning fails the test
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["analytic", "--domain", HOUSE, "--model", MODEL, "--rho-list", "1e-300,1e-200"],
+             "the closed-form outage overflows at density 1e-300"),
+            (["phase-map", "--rho-list", "1e-300", "--length-list", "5"],
+             "the closed-form outage overflows at density 1e-300"),
+            # Every term is finite, but U + F exceeds the largest float.
+            (["analytic", "--domain", '{"kind":"house","L":5.23e102}',
+              "--model", '{"family":"mimo_mrc_2x2","beta":4e101}', "--rho-list", "1"],
+             "the closed-form outage overflows at density 1"),
+        ],
+        ids=["analytic", "phase-map", "analytic-sum"],
+    )
+    def test_overflowing_terms_exit_3(self, runner, tmp_path, argv, message):
+        res = runner.invoke(main, argv + ["--out", str(tmp_path / "out")])
+        assert res.exit_code == 3, res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.output.strip().splitlines() == [f"Error: {message}"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestValidate:
@@ -436,13 +458,14 @@ CONFIG_KEYS = st.sampled_from(
 @given(st.dictionaries(CONFIG_KEYS, JSON_VALUES, max_size=4))
 def test_any_config_object_exits_0_or_2(config):
     runner = CliRunner()
-    with runner.isolated_filesystem():
+    # The run's directory sits in a temporary root, so a config "out" of ".."
+    # also stays inside it.
+    with tempfile.TemporaryDirectory() as root, runner.isolated_filesystem(temp_dir=root):
         Path("job.json").write_text(json.dumps(config))
         res = runner.invoke(
             main,
             ["analytic", "--domain", HOUSE, "--model", MODEL, "--rho-list", "1.0",
              "--config", "job.json"],
-            env={"PRISMNET_OUT": "out"},
         )
     assert res.exit_code in (0, 2), res.output
     assert res.exception is None or isinstance(res.exception, SystemExit), res.exception

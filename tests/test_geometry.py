@@ -186,6 +186,8 @@ class TestSpecs:
             domain_from_spec({"kind": "house"})
         with pytest.raises(GeometryError):
             domain_from_spec([1, 2, 3])
+        with pytest.raises(GeometryError, match="must be an object"):
+            domain_from_spec('{"kind": "house", "L": 5.0}')
         with pytest.raises(GeometryError):
             build_house(-1.0)
         with pytest.raises(GeometryError):

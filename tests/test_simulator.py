@@ -2,12 +2,14 @@
 
 import math
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import pdist
 
+from prismnet import simulator
 from prismnet.channel import h_of_d2, hard_disk, mimo_mrc_2x2, rayleigh
 from prismnet.geometry import Polygon2D, build_half_cylinder, build_house, build_right_prism
 from prismnet.simulator import (
@@ -103,8 +105,7 @@ class TestKernelExactness:
                     k += 1
             want = reachability_oracle(adj)
             assert _kernel.pair_graph_stats(pos, u, model) == want, f"trial {t}"
-            out = run_trial(cfg, t)
-            assert (out.connected, out.min_degree) == want
+            assert run_trial(cfg, t) == want
             kinds.add((want[0], want[1] > 0))
         # Connected graphs, isolated nodes, and disconnected graphs with no
         # isolated node (decided by the search) all occur.
@@ -127,8 +128,7 @@ class TestKernelExactness:
             adj |= adj.T
             want = reachability_oracle(adj)
             assert _kernel.pair_graph_stats(pos, u, cfg.model) == want, f"trial {t}"
-            out = run_trial(cfg, t)
-            assert (out.connected, out.min_degree) == want
+            assert run_trial(cfg, t) == want
             kinds.add((want[0], want[1] > 0))
         assert kinds == {(True, True), (False, False), (False, True)}
 
@@ -158,6 +158,42 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2.75 * pair_bytes, f"peak {peak / pair_bytes:.2f} x pair array"
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of every process pool that estimate() starts."""
+    started = []
+
+    def recording(max_workers):
+        started.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", recording)
+    return started
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("trials, workers, started", [(1, 2, []), (2, 3, [2])])
+    def test_no_more_workers_than_trials(self, pools, trials, workers, started):
+        cfg = SimConfig(domain=build_house(2.0), model=mimo_mrc_2x2(1.0), trials=trials, rho=1.0)
+        assert estimate(cfg, workers) == estimate(cfg, 1)
+        assert pools == started
+
+    def test_no_more_workspaces_than_memory_holds(self, pools, monkeypatch):
+        cfg = SimConfig(domain=build_house(2.0), model=mimo_mrc_2x2(1.0), trials=20, rho=1.0)
+        serial = estimate(cfg, 1)
+        monkeypatch.setattr(simulator, "PHYSICAL_MEMORY", 1.5 * _kernel.workspace_bytes(cfg.n))
+        assert estimate(cfg, 2) == serial
+        assert pools == []
+
+    def test_single_node_counts_every_trial(self, pools):
+        # One node: a workspace of 0 bytes, and a graph the kernel calls connected.
+        cfg = SimConfig(domain=build_house(1.0), model=mimo_mrc_2x2(1.0), trials=4, rho=1.0)
+        assert cfg.n == 1
+        r = estimate(cfg, 2)
+        assert (r.fc_count, r.min_deg_ge1_count) == (4, 4)
+        assert pools == [2]
 
 
 class TestBackends:
@@ -238,9 +274,9 @@ class TestStatistics:
     def test_per_trial_implication(self):
         cfg = SimConfig(domain=build_house(2.0), model=mimo_mrc_2x2(1.0), trials=1, rho=1.0)
         for t in range(2000):
-            out = run_trial(cfg, t)
-            if out.connected:
-                assert out.min_degree >= 1
+            connected, min_degree = run_trial(cfg, t)
+            if connected:
+                assert min_degree >= 1
 
     def test_min_degree_bounds_connectivity(self):
         cfg = SimConfig(domain=build_house(3.0), model=mimo_mrc_2x2(1.0), trials=2000, rho=0.5)
