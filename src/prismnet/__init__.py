@@ -2,9 +2,15 @@
 
 Analytic boundary-component expansion, Monte Carlo simulation, and a
 quadrature oracle that cross-validates the two.
+
+``quadrature`` (scipy.integrate) and ``simulator`` (scipy.spatial), and the
+names re-exported from ``simulator``, load on first access, so that importing
+the package, or a command that needs neither, loads no scipy.
 """
 
-from . import analytic, channel, geometry, quadrature, simulator
+import importlib
+
+from . import analytic, channel, geometry
 from .channel import ConnectivityModel, hard_disk, mimo_mrc_2x2, model_from_spec, rayleigh
 from .geometry import (
     Domain,
@@ -15,7 +21,9 @@ from .geometry import (
     build_right_prism,
     domain_from_spec,
 )
-from .simulator import BACKEND, SimConfig, SimResult, estimate, sweep
+
+_LAZY_MODULES = ("quadrature", "simulator")
+_FROM_SIMULATOR = ("BACKEND", "SimConfig", "SimResult", "estimate", "sweep")
 
 __version__ = "0.1.0"
 
@@ -43,3 +51,11 @@ __all__ = [
     "estimate",
     "sweep",
 ]
+
+
+def __getattr__(name):
+    if name in _LAZY_MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _FROM_SIMULATOR:
+        return getattr(importlib.import_module(".simulator", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -40,8 +40,10 @@ class Workspace:
 
 
 def workspace_bytes(n) -> float:
-    """Bytes of the pair arrays of a ``Workspace(n)``; the block buffers are left out."""
-    return 8.0 * n * (n - 1)
+    """Bytes a trial of n nodes holds: the pair arrays of a ``Workspace(n)``
+    and the n x n bool adjacency of a trial with no isolated node; the
+    block buffers are left out."""
+    return 8.0 * n * (n - 1) + 1.0 * n * n
 
 
 def _links(u, d2, model: ConnectivityModel, ws: Workspace) -> np.ndarray:

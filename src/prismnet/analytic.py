@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import InputError
 from .channel import MIMO_MRC_2X2, ConnectivityModel, bulk_mass, mimo_mrc_2x2
 from .geometry import BoundaryFeature, FeatureSet, build_house
 
@@ -35,7 +36,7 @@ THETA_EPS = 1e-6
 VALIDITY_SCALE = 5.0
 
 
-class ClosedFormUnavailableError(ValueError):
+class ClosedFormUnavailableError(InputError):
     """Requested closed-form terms for a model family or angle that has none."""
 
 
@@ -140,9 +141,13 @@ def cone_shape_function(theta) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class PfcBreakdown:
-    """Assembled outage probability with its per-feature-group terms."""
+    """Assembled outage probability with its per-feature-group terms.
+
+    ``values`` holds each term's contribution at ``rho``, in ``terms`` order.
+    """
 
     terms: tuple[ContributionTerm, ...]
+    values: tuple[float, ...]
     rho: float
     p_out_raw: float
     valid: bool
@@ -158,8 +163,8 @@ class PfcBreakdown:
     def group_values(self) -> dict[str, float]:
         """Outage contribution summed per label (U, F, E1, ..., C1, ...)."""
         out: dict[str, float] = {}
-        for t in self.terms:
-            out[t.label] = out.get(t.label, 0.0) + t.contribution(self.rho)
+        for t, value in zip(self.terms, self.values):
+            out[t.label] = out.get(t.label, 0.0) + value
         return out
 
     @property
@@ -181,12 +186,13 @@ def assemble_pfc(features: FeatureSet, model: ConnectivityModel, rho: float) -> 
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("density must be positive and finite")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite total raises below
-        p_out_raw = float(sum(t.contribution(rho) for t in domain_terms))
+        values = tuple(t.contribution(rho) for t in domain_terms)
+        p_out_raw = float(sum(values))
     if not math.isfinite(p_out_raw):
         raise _overflow(rho)
     char_length = features.bulk.measure ** (1.0 / 3.0)
     valid = p_out_raw <= 1.0 and math.sqrt(model.beta) * char_length >= VALIDITY_SCALE
-    return PfcBreakdown(domain_terms, float(rho), p_out_raw, valid)
+    return PfcBreakdown(domain_terms, values, float(rho), p_out_raw, valid)
 
 
 # Dominance groups follow the four-band structure: bulk, face, all edges,
@@ -197,8 +203,8 @@ GROUP_ORDER = ("bulk", "face", "edge", "corner")
 
 def component_group_values(breakdown: PfcBreakdown) -> dict[str, float]:
     out = {g: 0.0 for g in GROUP_ORDER}
-    for t in breakdown.terms:
-        out[_GROUP_OF_CODIM[t.codim]] += t.contribution(breakdown.rho)
+    for t, value in zip(breakdown.terms, breakdown.values):
+        out[_GROUP_OF_CODIM[t.codim]] += value
     return out
 
 

@@ -18,14 +18,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma
+
+from .base import InputError
 
 MIMO_MRC_2X2 = "mimo_mrc_2x2"
 RAYLEIGH = "rayleigh"
 HARD_DISK = "hard_disk"
 
 
-class ModelError(ValueError):
+class ModelError(InputError):
     """Invalid connectivity-model specification."""
 
 
@@ -143,7 +144,7 @@ def bulk_mass(model: ConnectivityModel) -> float:
         return (23.0 - math.sqrt(2.0)) / 4.0 * (np.pi / b) ** 1.5
     if model.family == RAYLEIGH:
         # 4 pi / eta * Gamma(3/eta) * beta^(-3/eta); finite for all eta > 0.
-        return 4.0 * np.pi / model.eta * gamma(3.0 / model.eta) * b ** (-3.0 / model.eta)
+        return 4.0 * np.pi / model.eta * math.gamma(3.0 / model.eta) * b ** (-3.0 / model.eta)
     return 4.0 / 3.0 * np.pi * model.r0**3
 
 

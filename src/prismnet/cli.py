@@ -29,26 +29,21 @@ import click
 import numpy as np
 from click.core import ParameterSource
 
-from . import analytic, quadrature, simulator, svgplot
-from .channel import ConnectivityModel, ModelError, mimo_mrc_2x2, model_from_spec
-from .geometry import Domain, GeometryError, domain_from_spec
-from .quadrature import QuadratureError
-from .simulator import DEFAULT_SEED, SimulationError
+from . import analytic, svgplot
+from .base import DEFAULT_SEED, InputError
+from .channel import ConnectivityModel, mimo_mrc_2x2, model_from_spec
+from .geometry import Domain, domain_from_spec
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-_CONFIG_ERRORS = (
-    GeometryError,
-    ModelError,
-    SimulationError,
-    analytic.ClosedFormUnavailableError,
-    json.JSONDecodeError,
-    click.UsageError,
-)
-_NUMERIC_ERRORS = (QuadratureError, ArithmeticError)
+# Commands import the quadrature and simulator modules, which load scipy,
+# only when they run; so the errors are caught by their base classes.
+_CONFIG_ERRORS = (InputError, json.JSONDecodeError, click.UsageError)
+# Numeric failures: QuadratureError and a closed form's OverflowError.
+_NUMERIC_ERRORS = ArithmeticError
 
 # The JSON types a --config value may take, by the click type of its flag.
 _JSON_TYPES = {"boolean": (bool,), "integer": (int,), "float": (int, float), "text": (str,)}
@@ -260,6 +255,9 @@ def _breakdowns(job: Job):
 
 
 def _simulate(job: Job):
+    # Imported here, in the parent, so that pool workers fork with scipy loaded.
+    from . import simulator
+
     return simulator.sweep(
         job.domain, job.model, job.rhos, job.trials, seed=job.seed, workers=job.workers
     )
@@ -276,17 +274,22 @@ def cmd_analytic(job: Job):
     breakdowns = _breakdowns(job)
     # terms() order: U, F, then edges and corners by increasing angle.
     labels = list(dict.fromkeys(t.label for t in breakdowns[0].terms))
-    rows = []
-    for b in breakdowns:
-        vals = b.group_values()
-        rows.append([b.rho] + [vals[lab] for lab in labels] + [b.p_out_raw, b.p_fc])
-    _write_csv(job.out / "analytic_components.csv", ["rho", *labels, "total", "p_fc"], rows)
+    groups = [b.group_values() for b in breakdowns]
+    rows = [
+        [b.rho] + [g[lab] for lab in labels] + [b.p_out_raw, b.p_fc, b.valid, b.clamped]
+        for b, g in zip(breakdowns, groups)
+    ]
+    _write_csv(
+        job.out / "analytic_components.csv",
+        ["rho", *labels, "total", "p_fc", "valid", "clamped"],
+        rows,
+    )
 
     long_rows = [
-        [b.rho, t.label, t.multiplicity, t.prefactor, t.exponent_rate, t.contribution(b.rho)]
+        [b.rho, t.label, t.multiplicity, t.prefactor, t.exponent_rate, value]
         + [b.p_out_raw, b.p_fc]
         for b in breakdowns
-        for t in b.terms
+        for t, value in zip(b.terms, b.values)
     ]
     _write_csv(
         job.out / "analytic_breakdown.csv",
@@ -298,7 +301,7 @@ def cmd_analytic(job: Job):
             title="analytic outage components", x_label="node density", y_label="P_out"
         )
         for lab in labels:
-            fig.add([b.rho for b in breakdowns], [b.group_values()[lab] for b in breakdowns], lab)
+            fig.add([b.rho for b in breakdowns], [g[lab] for g in groups], lab)
         fig.add([b.rho for b in breakdowns], [b.p_out_raw for b in breakdowns], "total")
         fig.write(job.out / "analytic_components.svg")
     click.echo(f"wrote {job.out / 'analytic_components.csv'}")
@@ -340,10 +343,14 @@ def cmd_compare(job: Job):
             z = (r.p_out_hat - b.p_out_raw) / r.std_err
         else:
             z = float("nan")
-        rows.append([b.rho, r.n, b.p_out_raw, r.p_out_hat, r.std_err, z, r.n_trials, r.fc_count])
+        rows.append(
+            [b.rho, r.n, b.p_out_raw, r.p_out_hat, r.std_err, z, r.n_trials, r.fc_count]
+            + [b.valid, b.clamped]
+        )
     _write_csv(
         job.out / "compare.csv",
-        ["rho", "N", "p_out_analytic", "p_out_sim", "std_err", "z_score", "trials", "fc_count"],
+        ["rho", "N", "p_out_analytic", "p_out_sim", "std_err", "z_score", "trials", "fc_count"]
+        + ["valid", "clamped"],
         rows,
     )
     if job.plot:
@@ -383,6 +390,8 @@ def cmd_phase_map(job: Job):
 @_command("validate", _OUT)
 def cmd_validate(job: Job):
     """Quadrature-oracle vs closed-form report; exit 1 on any failing row."""
+    from . import quadrature
+
     rows = quadrature.validation_suite()
     _write_csv(
         job.out / "validation.csv",

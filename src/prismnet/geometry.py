@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import InputError
+
 # Tolerance (relative to the coordinate scale) below which two vertices are
 # considered coincident.
 _VERTEX_TOL = 1e-12
@@ -36,7 +38,7 @@ _VERTEX_TOL = 1e-12
 ANGLE_TOL = 1e-9
 
 
-class GeometryError(ValueError):
+class GeometryError(InputError):
     """Invalid domain specification."""
 
 

@@ -33,7 +33,7 @@ _EXP_CUTOFF = 50.0
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-11, limit=200)
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ArithmeticError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 

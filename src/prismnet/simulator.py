@@ -10,10 +10,12 @@ a dense adjacency.
 Each chunk of trials allocates one workspace and every trial writes into
 it: two float64 arrays of N(N-1)/2 (pair uniforms and squared distances),
 i.e. 12.5 MB at N = 1250 and 800 MB at N = 10,000, plus cache-sized blocks
-for H and the link test.  A run holds one workspace per worker, and
-physical memory is its budget: ``SimConfig`` refuses an N whose one
-workspace exceeds it, and ``estimate`` runs no more workers than there are
-trials or workspaces that fit in it.
+for H and the link test.  A trial with no isolated node also allocates an
+N x N bool adjacency (N^2 bytes).  A run holds one workspace and one
+adjacency per worker, and physical memory is its budget: ``SimConfig``
+refuses an N whose one workspace and adjacency exceed it, and ``estimate``
+runs no more workers than there are trials or workspaces and adjacencies
+that fit in it.
 
 Trials are fully determined by (seed, trial_index): random numbers come
 from a per-trial generator seeded with that pair, so serial, reordered,
@@ -31,19 +33,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernel_py as _kernel
+from .base import DEFAULT_SEED, InputError
 from .channel import ConnectivityModel
 from .geometry import Domain
 
 # Names the pair-graph kernel in run manifests.
 BACKEND = "python"
 
-DEFAULT_SEED = 20140904
-
 # The memory budget of a run's workspaces.
 PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-class SimulationError(ValueError):
+class SimulationError(InputError):
     """Invalid simulation configuration."""
 
 
@@ -65,8 +66,8 @@ class SimConfig:
         need = _kernel.workspace_bytes(n)
         if need > PHYSICAL_MEMORY:
             raise SimulationError(
-                f"rho * V = {nodes:.4g} nodes need {need / 2**30:.4g} GiB of pair arrays, "
-                f"more than the {PHYSICAL_MEMORY / 2**30:.4g} GiB of physical memory"
+                f"rho * V = {nodes:.4g} nodes need {need / 2**30:.4g} GiB of pair arrays and "
+                f"adjacency, more than the {PHYSICAL_MEMORY / 2**30:.4g} GiB of physical memory"
             )
         if n == 0:
             raise SimulationError("need at least one node")

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -20,6 +23,7 @@ from prismnet.geometry import build_house
 
 from test_analytic import rotated_square_prism
 
+ROOT = Path(__file__).resolve().parents[1]
 HOUSE = '{"kind":"house","L":5.0}'
 MODEL = '{"family":"mimo_mrc_2x2","beta":1.0}'
 
@@ -133,10 +137,43 @@ class TestAnalytic:
         )
         assert res.exit_code == 0, res.output
         header, rows = read_csv(tmp_path / "analytic_components.csv")
-        assert header == ["rho", "U", "F", "E1", "E2", "C1", "C2", "total", "p_fc"]
+        assert header == [
+            "rho", "U", "F", "E1", "E2", "C1", "C2", "total", "p_fc", "valid", "clamped",
+        ]
         b = analytic.assemble_pfc(build_house(5.0).features(), mimo_mrc_2x2(1.0), 1.0)
         assert_allclose(float(rows[0][header.index("total")]), b.p_out_raw, rtol=1e-12)
         assert_allclose(float(rows[0][header.index("C1")]), b.group_values()["C1"], rtol=1e-12)
+        assert rows[0][-2:] == [str(b.valid), str(b.clamped)] == ["True", "False"]
+
+    def test_clamped_and_invalid_rows(self, runner, tmp_path):
+        # At rho = 0.3 the house's outage sum exceeds 1.
+        res = runner.invoke(
+            main,
+            ["analytic", "--domain", HOUSE, "--model", MODEL, "--rho-list", "0.3,1",
+             "--out", str(tmp_path)],
+        )
+        assert res.exit_code == 0, res.output
+        header, rows = read_csv(tmp_path / "analytic_components.csv")
+        assert [(r[header.index("valid")], r[header.index("clamped")]) for r in rows] == [
+            ("False", "True"), ("True", "False"),
+        ]
+
+    def test_underflowing_terms_warn_nothing(self, tmp_path):
+        # rho * rate overflows, so every term is exp(-inf) = 0; the command
+        # prints no RuntimeWarning, as a plain run shows it on stderr.
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        res = subprocess.run(
+            [sys.executable, "-m", "prismnet.cli", "analytic", "--domain",
+             '{"kind":"house","L":5}', "--model", '{"family":"mimo_mrc_2x2","beta":1}',
+             "--rho-list", "1e307", "--plot", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        header, rows = read_csv(tmp_path / "analytic_components.csv")
+        assert rows == [["1e+307"] + ["0.0"] * 7 + ["1.0", "True", "False"]]
+        _, long_rows = read_csv(tmp_path / "analytic_breakdown.csv")
+        assert {r[5] for r in long_rows} == {"0.0"}
 
     def test_breakdown_csv_schema(self, runner, tmp_path):
         res = runner.invoke(
@@ -184,7 +221,7 @@ class TestAnalytic:
         header, _ = read_csv(tmp_path / "analytic_components.csv")
         assert header == [
             "rho", "U", "F", *(f"E{i}" for i in range(1, 14)), *(f"C{i}" for i in range(1, 13)),
-            "total", "p_fc",
+            "total", "p_fc", "valid", "clamped",
         ]
 
     @pytest.mark.parametrize("degrees", [0, 10, 30])
@@ -197,7 +234,7 @@ class TestAnalytic:
         )
         assert res.exit_code == 0, res.output
         header, _ = read_csv(tmp_path / "analytic_components.csv")
-        assert header == ["rho", "U", "F", "E", "C", "total", "p_fc"]
+        assert header == ["rho", "U", "F", "E", "C", "total", "p_fc", "valid", "clamped"]
 
     def test_spec_from_file(self, runner, tmp_path):
         dom = tmp_path / "dom.json"
@@ -274,8 +311,11 @@ class TestCompare:
         header, rows = read_csv(tmp_path / "compare.csv")
         assert header == [
             "rho", "N", "p_out_analytic", "p_out_sim", "std_err", "z_score", "trials", "fc_count",
+            "valid", "clamped",
         ]
         assert len(rows) == 1
+        b = analytic.assemble_pfc(build_house(2.0).features(), mimo_mrc_2x2(1.0), 0.8)
+        assert rows[0][-2:] == [str(b.valid), str(b.clamped)]
 
 
 class TestPhaseMap:

@@ -1,9 +1,12 @@
 """Domain geometry: volumes, feature inventories, containment, sampling."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from prismnet.geometry import (
@@ -166,6 +169,52 @@ class TestRightPrism:
         p = d.sample(50_000, rng)
         assert np.all(d.contains(p))
         assert_allclose(p[:, 2].mean(), 1.0, atol=0.02)
+
+
+@st.composite
+def convex_prisms(draw):
+    """A right prism on a random strictly convex base: points on an ellipse at
+    increasing angles whose gaps (the last one wraps around) are at least 1/111
+    of the turn, shifted off the origin."""
+    gaps = draw(st.lists(st.floats(1.0, 10.0), min_size=3, max_size=12))
+    ax, ay = draw(st.tuples(st.floats(0.5, 5.0), st.floats(0.5, 5.0)))
+    cx, cy = draw(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)))
+    turns = 2 * np.pi * np.cumsum(gaps) / np.sum(gaps)
+    base = [[cx + ax * math.cos(t), cy + ay * math.sin(t)] for t in turns]
+    return build_right_prism(Polygon2D(base), draw(st.floats(0.1, 10.0)))
+
+
+class TestRightPrismProperties:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(prism=convex_prisms(), seed=st.integers(0, 2**32 - 1))
+    def test_samples_inside(self, prism, seed):
+        assert np.all(prism.contains(prism.sample(2000, np.random.default_rng(seed))))
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(prism=convex_prisms())
+    def test_volume_matches_monte_carlo(self, prism):
+        # Uniform points in the bounding box; 5 standard errors of the hit count.
+        lo = np.append(prism.base.vertices.min(axis=0), 0.0)
+        hi = np.append(prism.base.vertices.max(axis=0), prism.height)
+        n = 20_000
+        pts = lo + (hi - lo) * np.random.default_rng(0).random((n, 3))
+        p = prism.contains(pts).mean()
+        box = float(np.prod(hi - lo))
+        assert abs(box * p - prism.volume) <= 5 * box * math.sqrt(p * (1 - p) / n)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(prism=convex_prisms())
+    def test_spec_round_trip(self, prism):
+        spec = prism.to_spec()
+        again = domain_from_spec(json.loads(json.dumps(spec)))
+        assert again.to_spec() == spec
+        assert again.volume == prism.volume
+        assert again.features() == prism.features()
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(prism=convex_prisms())
+    def test_corner_multiplicity_is_twice_the_vertex_count(self, prism):
+        assert prism.features().corner_count == 2 * prism.base.q
 
 
 class TestSpecs:

@@ -187,6 +187,15 @@ class TestWorkers:
         assert estimate(cfg, 2) == serial
         assert pools == []
 
+    def test_memory_budget_counts_the_adjacency(self, monkeypatch):
+        # Exactly the two pair arrays: the n x n bool adjacency of a trial
+        # with no isolated node does not fit as well.
+        args = dict(domain=build_house(2.0), model=mimo_mrc_2x2(1.0), trials=1, rho=1.0)
+        n = SimConfig(**args).n
+        monkeypatch.setattr(simulator, "PHYSICAL_MEMORY", 8.0 * n * (n - 1))
+        with pytest.raises(SimulationError, match="physical memory"):
+            SimConfig(**args)
+
     def test_single_node_counts_every_trial(self, pools):
         # One node: a workspace of 0 bytes, and a graph the kernel calls connected.
         cfg = SimConfig(domain=build_house(1.0), model=mimo_mrc_2x2(1.0), trials=4, rho=1.0)
