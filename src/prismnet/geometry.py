@@ -53,8 +53,11 @@ class Polygon2D:
             raise GeometryError("polygon vertices must be finite")
         scale = float(np.max(np.abs(v))) or 1.0
         with np.errstate(over="ignore", invalid="ignore"):
-            edges = np.roll(v, -1, axis=0) - v
+            w = np.roll(v, -1, axis=0)
+            edges = w - v
             cross = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
+            # Shoelace; it may overflow, which the domain built on it rejects.
+            area = 0.5 * float(np.sum(v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]))
         if not np.all(np.isfinite(cross)):
             raise GeometryError("polygon is too large: its edge cross products overflow")
         lengths = np.hypot(edges[:, 0], edges[:, 1])
@@ -67,6 +70,8 @@ class Polygon2D:
             raise GeometryError("polygon must be strictly convex with CCW winding")
         self.vertices = v
         self.vertices.setflags(write=False)
+        # Computed once, since the vertices are read-only.
+        self.area = area
 
     @property
     def q(self) -> int:
@@ -80,12 +85,6 @@ class Polygon2D:
     def edge_lengths(self) -> np.ndarray:
         e = self.edge_vectors
         return np.hypot(e[:, 0], e[:, 1])
-
-    @property
-    def area(self) -> float:
-        v = self.vertices
-        w = np.roll(v, -1, axis=0)
-        return 0.5 * float(np.sum(v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]))
 
     @property
     def perimeter(self) -> float:
@@ -273,8 +272,7 @@ class RightPrism(Domain):
             raise GeometryError("prism height must be positive and finite")
         self.base = base
         self.height = float(height)
-        with np.errstate(over="ignore", invalid="ignore"):  # the base area may overflow
-            self._check_size()
+        self._check_size()
         # Fan triangulation for exact uniform sampling over the base.
         v = base.vertices
         tris = [(v[0], v[i], v[i + 1]) for i in range(1, base.q - 1)]

@@ -4,18 +4,18 @@ Each trial samples N nodes uniformly in the domain, then draws one uniform
 per node pair, in row-major condensed order, and links the pair when the
 uniform falls below H(distance).  The numpy pair-graph kernel in
 ``_kernel_py`` returns the graph's connectivity and minimum degree: it
-stops at an isolated node, and otherwise runs a breadth-first search over
-a dense adjacency.
+stops at an isolated node, and otherwise searches the list of links from
+node 0.
 
 Each chunk of trials allocates one workspace and every trial writes into
-it: two float64 arrays of N(N-1)/2 (pair uniforms and squared distances),
-i.e. 12.5 MB at N = 1250 and 800 MB at N = 10,000, plus cache-sized blocks
-for H and the link test.  A trial with no isolated node also allocates an
-N x N bool adjacency (N^2 bytes).  A run holds one workspace and one
-adjacency per worker, and physical memory is its budget: ``SimConfig``
-refuses an N whose one workspace and adjacency exceed it, and ``estimate``
-runs no more workers than there are trials or workspaces and adjacencies
-that fit in it.
+it: one float64 array of N(N-1)/2 squared distances, i.e. 6.2 MB at
+N = 1250 and 400 MB at N = 10,000, plus cache-sized blocks for the pair
+uniforms, H and the link test.  The link list grows with the number of
+links, not of pairs, and the search keeps its per-link flags in the spent
+squared distances.  A run holds one workspace per worker, and physical
+memory is its budget: ``SimConfig`` refuses an N whose one workspace
+exceeds it, and ``estimate`` runs no more workers than there are trials or
+workspaces that fit in it.
 
 Trials are fully determined by (seed, trial_index): random numbers come
 from a per-trial generator seeded with that pair, so serial, reordered,
@@ -66,8 +66,8 @@ class SimConfig:
         need = _kernel.workspace_bytes(n)
         if need > PHYSICAL_MEMORY:
             raise SimulationError(
-                f"rho * V = {nodes:.4g} nodes need {need / 2**30:.4g} GiB of pair arrays and "
-                f"adjacency, more than the {PHYSICAL_MEMORY / 2**30:.4g} GiB of physical memory"
+                f"rho * V = {nodes:.4g} nodes need {need / 2**30:.4g} GiB of pair distances, "
+                f"more than the {PHYSICAL_MEMORY / 2**30:.4g} GiB of physical memory"
             )
         if n == 0:
             raise SimulationError("need at least one node")
@@ -133,10 +133,9 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 def run_trial(config: SimConfig, trial_index: int, workspace=None) -> tuple[bool, int]:
     """One trial's (connected, min_degree); ``workspace`` is a ``_kernel.Workspace(config.n)``."""
     n = config.n
-    ws = _kernel.Workspace(n) if workspace is None else workspace
     rng = trial_rng(config.seed, trial_index)
     pos = config.domain.sample(n, rng)
-    return _kernel.pair_graph_stats(pos, rng.random(out=ws.u), config.model, ws)
+    return _kernel.pair_graph_stats(pos, rng, config.model, workspace)
 
 
 def _count_range(config: SimConfig, start: int, stop: int) -> tuple[int, int]:

@@ -217,6 +217,44 @@ class TestRightPrismProperties:
         assert prism.features().corner_count == 2 * prism.base.q
 
 
+half_cylinders = st.builds(build_half_cylinder, st.floats(0.1, 10.0), st.floats(0.1, 10.0))
+
+
+class TestHalfCylinderProperties:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(cyl=half_cylinders, seed=st.integers(0, 2**32 - 1))
+    def test_samples_inside(self, cyl, seed):
+        assert np.all(cyl.contains(cyl.sample(2000, np.random.default_rng(seed))))
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(cyl=half_cylinders)
+    def test_volume_matches_monte_carlo(self, cyl):
+        # Uniform points in the bounding box; 5 standard errors of the hit count.
+        lo = np.array([-cyl.radius, 0.0, 0.0])
+        hi = np.array([cyl.radius, cyl.radius, cyl.height])
+        n = 20_000
+        pts = lo + (hi - lo) * np.random.default_rng(0).random((n, 3))
+        p = cyl.contains(pts).mean()
+        box = float(np.prod(hi - lo))
+        assert abs(box * p - cyl.volume) <= 5 * box * math.sqrt(p * (1 - p) / n)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(cyl=half_cylinders)
+    def test_spec_round_trip(self, cyl):
+        spec = cyl.to_spec()
+        again = domain_from_spec(json.loads(json.dumps(spec)))
+        assert again.to_spec() == spec
+        assert again.volume == cyl.volume
+        assert again.features() == cyl.features()
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(cyl=half_cylinders)
+    def test_four_right_angle_corners(self, cyl):
+        corners = cyl.features().corners
+        assert sum(c.multiplicity for c in corners) == 4
+        assert all(c.dihedral == 0.5 * np.pi for c in corners)
+
+
 class TestSpecs:
     def test_round_trip(self):
         for spec in (

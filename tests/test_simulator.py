@@ -25,6 +25,28 @@ from prismnet.simulator import (
 )
 
 
+class PresetUniforms:
+    """Stands in for a trial's generator: hands out preset pair uniforms in order."""
+
+    def __init__(self, u):
+        self.u = u
+        self.used = 0
+
+    def random(self, out):
+        out[...] = self.u[self.used : self.used + out.size]
+        self.used += out.size
+        return out
+
+
+def preset_stats(kernel, pos, u, model):
+    """The kernel's (connected, min_degree) with pair k drawing u[k]; every
+    uniform must be drawn."""
+    rng = PresetUniforms(u)
+    stats = kernel.pair_graph_stats(pos, rng, model)
+    assert rng.used == u.size
+    return stats
+
+
 def kernel_on_graph(kernel, adj):
     """Drive a kernel with an arbitrary adjacency matrix.
 
@@ -36,7 +58,7 @@ def kernel_on_graph(kernel, adj):
     pos = np.ascontiguousarray(np.random.default_rng(0).random((n, 3)))
     iu = np.triu_indices(n, k=1)
     u = np.where(adj[iu], 0.5, 1.0).astype(float)
-    return kernel.pair_graph_stats(pos, u, hard_disk(1e6))
+    return preset_stats(kernel, pos, u, hard_disk(1e6))
 
 
 def reachability_oracle(adj):
@@ -104,7 +126,7 @@ class TestKernelExactness:
                     adj[i, j] = adj[j, i] = u[k] < h_of_d2(model, d2)
                     k += 1
             want = reachability_oracle(adj)
-            assert _kernel.pair_graph_stats(pos, u, model) == want, f"trial {t}"
+            assert preset_stats(_kernel, pos, u, model) == want, f"trial {t}"
             assert run_trial(cfg, t) == want
             kinds.add((want[0], want[1] > 0))
         # Connected graphs, isolated nodes, and disconnected graphs with no
@@ -127,10 +149,23 @@ class TestKernelExactness:
             adj[np.triu_indices(n, k=1)] = link
             adj |= adj.T
             want = reachability_oracle(adj)
-            assert _kernel.pair_graph_stats(pos, u, cfg.model) == want, f"trial {t}"
+            assert preset_stats(_kernel, pos, u, cfg.model) == want, f"trial {t}"
             assert run_trial(cfg, t) == want
             kinds.add((want[0], want[1] > 0))
         assert kinds == {(True, True), (False, False), (False, True)}
+
+    def test_blocked_draws_continue_one_stream(self):
+        # N = 375: three H blocks, each drawing its own uniforms.  The kernel
+        # leaves the generator where one draw of every pair leaves its twin.
+        cfg = SimConfig(domain=build_house(10.0), model=mimo_mrc_2x2(1.0), trials=1, rho=0.3)
+        n = cfg.n
+        assert n == 375
+        rng, twin = trial_rng(cfg.seed, 0), trial_rng(cfg.seed, 0)
+        pos = cfg.domain.sample(n, rng)
+        cfg.domain.sample(n, twin)
+        _kernel.pair_graph_stats(pos, rng, cfg.model)
+        twin.random(n * (n - 1) // 2)
+        assert rng.random() == twin.random()
 
     def test_workspace_reuse_matches_fresh(self):
         # One workspace across trials and models gives each trial's own outcome.
@@ -147,8 +182,10 @@ class TestMemory:
         "model", [mimo_mrc_2x2(1.0), rayleigh(1.0, 3.0), hard_disk(1.0)], ids=lambda m: m.family
     )
     def test_peak_per_chunk(self, model):
-        # House L=10, rho=1: N=1250.  The workspace holds two pair-sized
-        # float64 arrays; H and the link test stay in cache-sized blocks.
+        # House L=10, rho=1: N=1250.  The workspace holds one pair-sized
+        # float64 array, the squared distances; the uniforms, H and the link
+        # test stay in cache-sized blocks, and the search allocates no n x n
+        # adjacency.
         cfg = SimConfig(domain=build_house(10.0), model=model, trials=3, rho=1.0)
         pair_bytes = 8 * cfg.n * (cfg.n - 1) // 2
         tracemalloc.start()
@@ -157,7 +194,7 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.75 * pair_bytes, f"peak {peak / pair_bytes:.2f} x pair array"
+        assert peak <= 1.35 * pair_bytes, f"peak {peak / pair_bytes:.2f} x pair array"
 
 
 @pytest.fixture
@@ -187,14 +224,15 @@ class TestWorkers:
         assert estimate(cfg, 2) == serial
         assert pools == []
 
-    def test_memory_budget_counts_the_adjacency(self, monkeypatch):
-        # Exactly the two pair arrays: the n x n bool adjacency of a trial
-        # with no isolated node does not fit as well.
+    def test_memory_budget_is_the_distance_array(self, monkeypatch):
+        # One float64 squared distance per pair: one byte less is refused.
         args = dict(domain=build_house(2.0), model=mimo_mrc_2x2(1.0), trials=1, rho=1.0)
         n = SimConfig(**args).n
-        monkeypatch.setattr(simulator, "PHYSICAL_MEMORY", 8.0 * n * (n - 1))
+        monkeypatch.setattr(simulator, "PHYSICAL_MEMORY", 8 * (n * (n - 1) // 2) - 1)
         with pytest.raises(SimulationError, match="physical memory"):
             SimConfig(**args)
+        monkeypatch.setattr(simulator, "PHYSICAL_MEMORY", 8 * (n * (n - 1) // 2))
+        assert SimConfig(**args).n == n
 
     def test_single_node_counts_every_trial(self, pools):
         # One node: a workspace of 0 bytes, and a graph the kernel calls connected.
