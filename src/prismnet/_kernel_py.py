@@ -44,11 +44,19 @@ class Workspace:
         self.starts = rows * n - rows * (rows + 1) // 2
 
 
+# A trial holds at most five int64 arrays of one entry per link: the link
+# indices k, their rows i and columns j, and, in the search, the crossing
+# links and the ends taken from them (before that, two temporaries of j).
+LINK_ARRAYS = 5
+
+
 def workspace_bytes(n) -> float:
-    """Bytes of the one pair-sized array of a ``Workspace(n)``, its float64
-    squared distances; the block buffers and the arrays that grow with the
-    nodes or the links are left out."""
-    return 4.0 * n * (n - 1)
+    """Peak bytes of a trial of n nodes when every pair links: a
+    ``Workspace(n)``'s squared distances and block buffers (u, h, scratch
+    and link: 25 bytes per block pair), plus the link arrays.  The arrays
+    that grow with the nodes are left out."""
+    pairs = 0.5 * n * (n - 1)
+    return (8.0 + 8.0 * LINK_ARRAYS) * pairs + 25.0 * min(pairs, BLOCK)
 
 
 def _links(rng, d2, model: ConnectivityModel, ws: Workspace) -> np.ndarray:

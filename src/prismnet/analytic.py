@@ -70,12 +70,16 @@ class ContributionTerm:
     def outer_integral(self, rho) -> np.ndarray | float:
         """Per-feature outer integral, before the global rho multiplier."""
         rho = np.asarray(rho, dtype=float)
-        out = self.prefactor * rho ** (-self.codim) * np.exp(-rho * self.exponent_rate)
+        out = self._outer_integral(rho, rho ** (-self.codim))
         return float(out) if out.ndim == 0 else out
 
     def contribution(self, rho) -> np.ndarray | float:
         """Outage contribution of the whole group: mult * rho * outer integral."""
         return self.multiplicity * np.asarray(rho, dtype=float) * self.outer_integral(rho)
+
+    def _outer_integral(self, rho: np.ndarray, rho_power: np.ndarray) -> np.ndarray:
+        """outer_integral of a rho array, given rho ** -codim."""
+        return self.prefactor * rho_power * np.exp(-rho * self.exponent_rate)
 
 
 def term(feature: BoundaryFeature, model: ConnectivityModel) -> ContributionTerm:
@@ -196,15 +200,14 @@ def assemble_pfc(features: FeatureSet, model: ConnectivityModel, rho: float) -> 
 
 
 # Dominance groups follow the four-band structure: bulk, face, all edges,
-# all corners.
-_GROUP_OF_CODIM = {0: "bulk", 1: "face", 2: "edge", 3: "corner"}
+# all corners; a term's group is GROUP_ORDER[codim].
 GROUP_ORDER = ("bulk", "face", "edge", "corner")
 
 
 def component_group_values(breakdown: PfcBreakdown) -> dict[str, float]:
     out = {g: 0.0 for g in GROUP_ORDER}
     for t, value in zip(breakdown.terms, breakdown.values):
-        out[_GROUP_OF_CODIM[t.codim]] += value
+        out[GROUP_ORDER[t.codim]] += value
     return out
 
 
@@ -220,20 +223,25 @@ def phase_map(beta: float, rho_grid, L_grid) -> list[tuple[float, float, str]]:
     ):
         raise ValueError("phase-map grids must be finite, positive and strictly increasing")
     model = mimo_mrc_2x2(beta)
-    out = []
-    for L in L_grid:
-        feats = build_house(float(L)).features()
-        # Group terms once per L; evaluate the whole rho row vectorized.
-        rows = {g: np.zeros_like(rho_grid) for g in GROUP_ORDER}
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite group raises below
-            for t in terms(feats, model):
-                rows[_GROUP_OF_CODIM[t.codim]] += t.contribution(rho_grid)
-        stacked = np.vstack([rows[g] for g in GROUP_ORDER])
-        finite = np.isfinite(stacked).all(axis=0)
-        if not finite.all():
-            raise _overflow(rho_grid[~finite][0])
-        # argmax over reversed order so that equal values pick higher codim.
-        winner = len(GROUP_ORDER) - 1 - np.argmax(stacked[::-1], axis=0)
-        for rho, w in zip(rho_grid, winner):
-            out.append((float(rho), float(L), GROUP_ORDER[int(w)]))
-    return out
+    # groups[i, codim]: the rho row of that group at L_grid[i].
+    groups = np.zeros((L_grid.size, len(GROUP_ORDER), rho_grid.size))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite group raises below
+        powers = [rho_grid ** (-codim) for codim in range(len(GROUP_ORDER))]
+        for row, L in zip(groups, L_grid.tolist()):
+            for t in terms(build_house(L).features(), model):
+                # t.contribution(rho_grid), sharing the power across terms.
+                row[t.codim] += t.multiplicity * rho_grid * t._outer_integral(
+                    rho_grid, powers[t.codim]
+                )
+            finite = np.isfinite(row).all(axis=0)
+            if not finite.all():
+                raise _overflow(rho_grid[~finite][0])
+    # argmax over reversed order so that equal values pick higher codim.
+    winner = len(GROUP_ORDER) - 1 - np.argmax(groups[:, ::-1], axis=1)
+    return list(
+        zip(
+            rho_grid.tolist() * L_grid.size,
+            np.repeat(L_grid, rho_grid.size).tolist(),
+            [GROUP_ORDER[w] for w in winner.ravel().tolist()],
+        )
+    )

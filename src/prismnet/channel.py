@@ -78,11 +78,26 @@ def hard_disk(r0: float) -> ConnectivityModel:
     return ConnectivityModel(HARD_DISK, beta, 2.0)
 
 
+def _distance(r):
+    """r as float64, checked non-negative: a numpy scalar when r is a float.
+
+    The quadrature calls H and H' on one Python float at a time, so a float
+    skips the 0-d array; a numpy scalar runs the same ufuncs as an array.
+    """
+    if isinstance(r, float):
+        r = np.float64(r)
+        negative = r < 0
+    else:
+        r = np.asarray(r, dtype=float)
+        negative = np.any(r < 0)
+    if negative:
+        raise ModelError("distance must be non-negative")
+    return r
+
+
 def h(model: ConnectivityModel, r) -> np.ndarray | float:
     """Direct-link probability at distance r (vectorized)."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ModelError("distance must be non-negative")
+    r = _distance(r)
     out = h_of_d2(model, r * r)
     return float(out) if out.ndim == 0 else out
 
@@ -92,11 +107,13 @@ def h_of_d2(model: ConnectivityModel, d2, out=None, scratch=None) -> np.ndarray:
 
     ``out`` receives H and ``scratch`` (MIMO only) holds an intermediate;
     both are float arrays of d2's shape that must not overlap it.  With
-    them no array is allocated.  Without them the first steps allocate and
-    scalar input keeps plain scalar arithmetic.  Either way each step is
-    the same floating-point operation, so the values are bit-identical.
+    them no array is allocated.  Without them the first steps allocate, and
+    a float64 scalar stays a scalar (other scalars become 0-d arrays).
+    Either way each step is the same floating-point operation, so the
+    values are bit-identical.
     """
-    d2 = np.asarray(d2, dtype=float)
+    if not isinstance(d2, np.float64):
+        d2 = np.asarray(d2, dtype=float)
     if model.family == MIMO_MRC_2X2:
         x = model.beta * d2 if scratch is None else np.multiply(d2, model.beta, out=scratch)
         e = np.exp(-x) if out is None else np.exp(np.negative(x, out=out), out=out)
@@ -107,9 +124,10 @@ def h_of_d2(model: ConnectivityModel, d2, out=None, scratch=None) -> np.ndarray:
         e *= x
         return e
     if model.family == RAYLEIGH:
-        # exp(-beta * d2**(eta/2)); `**=` picks the same power kernel as `**`.
+        # exp(-beta * d2**(eta/2)).  np.power runs the array kernel on a
+        # scalar too, where `**` would not; `**=` picks the same kernel.
         if out is None:
-            y = d2 ** (0.5 * model.eta)
+            y = np.power(d2, 0.5 * model.eta)
         else:
             y = out
             y[...] = d2
@@ -125,7 +143,7 @@ def h_prime(model: ConnectivityModel, r) -> np.ndarray | float:
     """dH/dr, used by the quadrature oracle.  Smooth families only."""
     if not model.smooth:
         raise ModelError("hard-disk H has no derivative")
-    r = np.asarray(r, dtype=float)
+    r = _distance(r)
     b = model.beta
     if model.family == MIMO_MRC_2X2:
         x = b * r * r
@@ -133,7 +151,8 @@ def h_prime(model: ConnectivityModel, r) -> np.ndarray | float:
         dh_dx = e * (2.0 * x - x * x - 2.0 + 2.0 * e)
         out = dh_dx * 2.0 * b * r
     else:
-        out = -b * model.eta * r ** (model.eta - 1.0) * np.exp(-b * r**model.eta)
+        eta = model.eta
+        out = -b * eta * np.power(r, eta - 1.0) * np.exp(-b * np.power(r, eta))
     return float(out) if out.ndim == 0 else out
 
 

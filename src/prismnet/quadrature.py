@@ -62,23 +62,35 @@ def _square(s):
     return s * s
 
 
-def _wedge_j_integrals(model: ConnectivityModel, half_z: bool = True):
-    """The three radial integrals of the wedge expansion.
+def _wedge_j_integrals(model: ConnectivityModel):
+    """The three radial integrals of a corner's wedge expansion.
 
     J1 = iint r H(s),  J2 = iint (r z / s) H'(s),  J3 = iint (r^2 / s) H'(s)
-    with s = sqrt(r^2 + z^2), over r in [0, inf) and z in [0, inf)
-    (``half_z``, corners) or z in (-inf, inf) (edges, which doubles J1 and
-    J3 and kills J2 by symmetry).  In polar coordinates r = s cos(phi),
-    z = s sin(phi) the angle integrates to 1, 1/2 and pi/4, leaving the two
-    radial moments int s^2 H and int s^2 H'.  A model without H' (hard disk)
-    gets J2 = J3 = 0, which serves only the probe at the apex.
+    with s = sqrt(r^2 + z^2), over r in [0, inf) and z in [0, inf).  In
+    polar coordinates r = s cos(phi), z = s sin(phi) the angle integrates
+    to 1, 1/2 and pi/4, leaving the two radial moments int s^2 H and
+    int s^2 H'.  A model without H' (hard disk) gets J2 = J3 = 0, which
+    serves only the probe at the apex.  ``_edge_j`` turns them into an
+    edge's.
     """
     m0 = _radial(model, _square)
     m1 = _radial(model, _square, slope=True) if model.smooth else 0.0
-    J1, J2, J3 = m0, 0.5 * m1, 0.25 * np.pi * m1
-    if not half_z:
-        return 2.0 * J1, 0.0, 2.0 * J3
-    return J1, J2, J3
+    return m0, 0.5 * m1, 0.25 * np.pi * m1
+
+
+def _edge_j(J):
+    """An edge's J from a corner's: z over (-inf, inf) doubles J1 and J3
+    and kills J2 by symmetry."""
+    J1, _, J3 = J
+    return 2.0 * J1, 0.0, 2.0 * J3
+
+
+def _wedge_mass(theta: float, J, r2: float, theta2: float, z2: float = 0.0) -> float:
+    """First-order wedge link mass from a corner's J, or an edge's (whose
+    J2 = 0 drops the z2 term), at a checked probe."""
+    J1, J2, J3 = J
+    ang = math.sin(theta2) + math.sin(theta - theta2)
+    return theta * J1 - theta * z2 * J2 - r2 * ang * J3
 
 
 def inner_corner(
@@ -99,9 +111,7 @@ def inner_corner(
         raise ValueError("probe point outside the wedge patch")
     if not model.smooth and (r2 or z2):
         raise ModelError("first-order terms need a differentiable H")
-    J1, J2, J3 = _wedge_j_integrals(model, half_z=True)
-    ang = math.sin(theta2) + math.sin(theta - theta2)
-    return theta * J1 - theta * z2 * J2 - r2 * ang * J3
+    return _wedge_mass(theta, _wedge_j_integrals(model), r2, theta2, z2)
 
 
 def inner_corner_closed_form(
@@ -123,9 +133,7 @@ def inner_edge(
         raise ValueError("edge angle must lie in (0, pi)")
     if not model.smooth and r2:
         raise ModelError("first-order terms need a differentiable H")
-    J1, _, J3 = _wedge_j_integrals(model, half_z=False)
-    ang = math.sin(theta2) + math.sin(theta - theta2)
-    return theta * J1 - r2 * ang * J3
+    return _wedge_mass(theta, _edge_j(_wedge_j_integrals(model)), r2, theta2)
 
 
 def inner_edge_closed_form(theta: float, beta: float, r2: float = 0.0, theta2: float = 0.0) -> float:
@@ -225,7 +233,8 @@ def outer_integral(feature: BoundaryFeature, model: ConnectivityModel, rho: floa
     if feature.codim not in (2, 3):
         raise ValueError(f"unsupported codimension {feature.codim}")
     theta = feature.dihedral
-    J1, J2, J3 = _wedge_j_integrals(model, half_z=feature.codim == 3)
+    J = _wedge_j_integrals(model)
+    J1, J2, J3 = J if feature.codim == 3 else _edge_j(J)
     A = theta * J1
     ang_int = _quad(
         lambda t2: (rho * (-J3) * (math.sin(t2) + math.sin(theta - t2))) ** -2, 0.0, theta
@@ -257,7 +266,8 @@ def validation_suite() -> list[ValidationRow]:
 
     Inner comparisons run across the (beta, theta) grid beta in {0.5, 1, 2},
     theta in {pi/3, pi/2, 3pi/4}; outer comparisons run at beta = 1 and
-    rho = 1 against the analytic terms.
+    rho = 1 against the analytic terms.  The wedge J-integrals of each beta
+    are integrated once and serve all its corner and edge rows.
     """
     rows: list[ValidationRow] = []
     thetas = (np.pi / 3, np.pi / 2, 3 * np.pi / 4)
@@ -265,6 +275,8 @@ def validation_suite() -> list[ValidationRow]:
         model = mimo_mrc_2x2(beta)
         r2 = 0.05 * model.r0
         z2 = 0.05 * model.r0
+        corner_j = _wedge_j_integrals(model)
+        edge_j = _edge_j(corner_j)
         for theta in thetas:
             t2 = 0.3 * theta
             rows.append(
@@ -272,7 +284,7 @@ def validation_suite() -> list[ValidationRow]:
                     "inner_corner",
                     {"beta": beta, "theta": theta, "r2": r2, "theta2": t2, "z2": z2},
                     inner_corner_closed_form(theta, beta, r2, t2, z2),
-                    inner_corner(theta, model, r2, t2, z2),
+                    _wedge_mass(theta, corner_j, r2, t2, z2),
                     1e-4,
                 )
             )
@@ -283,7 +295,7 @@ def validation_suite() -> list[ValidationRow]:
                     "inner_edge",
                     {"beta": beta, "theta": theta, "r2": r2, "theta2": t2},
                     inner_edge_closed_form(theta, beta, r2, t2),
-                    inner_edge(theta, model, r2, t2),
+                    _wedge_mass(theta, edge_j, r2, t2),
                     1e-4,
                 )
             )

@@ -12,10 +12,12 @@ it: one float64 array of N(N-1)/2 squared distances, i.e. 6.2 MB at
 N = 1250 and 400 MB at N = 10,000, plus cache-sized blocks for the pair
 uniforms, H and the link test.  The link list grows with the number of
 links, not of pairs, and the search keeps its per-link flags in the spent
-squared distances.  A run holds one workspace per worker, and physical
-memory is its budget: ``SimConfig`` refuses an N whose one workspace
-exceeds it, and ``estimate`` runs no more workers than there are trials or
-workspaces that fit in it.
+squared distances; when every pair links, the link arrays take five times
+the bytes of the distances.  A run holds one workspace and one trial's link
+arrays per worker, and physical memory is their budget, counted for the
+worst case by ``_kernel.workspace_bytes``: ``SimConfig`` refuses an N whose
+one worker exceeds it, and ``estimate`` runs no more workers than there are
+trials or workers that fit in it.
 
 Trials are fully determined by (seed, trial_index): random numbers come
 from a per-trial generator seeded with that pair, so serial, reordered,
@@ -66,8 +68,8 @@ class SimConfig:
         need = _kernel.workspace_bytes(n)
         if need > PHYSICAL_MEMORY:
             raise SimulationError(
-                f"rho * V = {nodes:.4g} nodes need {need / 2**30:.4g} GiB of pair distances, "
-                f"more than the {PHYSICAL_MEMORY / 2**30:.4g} GiB of physical memory"
+                f"rho * V = {nodes:.4g} nodes need {need / 2**30:.4g} GiB of pair distances "
+                f"and links, more than the {PHYSICAL_MEMORY / 2**30:.4g} GiB of physical memory"
             )
         if n == 0:
             raise SimulationError("need at least one node")
@@ -154,8 +156,9 @@ def _count_range(config: SimConfig, start: int, stop: int) -> tuple[int, int]:
 def estimate(config: SimConfig, workers: int = 1) -> SimResult:
     """Aggregate `config.trials` independent trials into a SimResult.
 
-    Runs at most ``workers`` processes, one per trial and per workspace that
-    fits in physical memory; the counts do not depend on how many run.
+    Runs at most ``workers`` processes, one per trial and per worst-case
+    trial (``_kernel.workspace_bytes``) that fits in physical memory; the
+    counts do not depend on how many run.
     """
     t0 = time.perf_counter()
     need = _kernel.workspace_bytes(config.n)

@@ -154,6 +154,46 @@ class TestInPlaceExactness:
                 assert np.array_equal(out, want)
 
 
+class TestScalarExactness:
+    """h and h_prime on one float equal the array path bit for bit."""
+
+    R = np.concatenate([[0.0, 1.3, 1.3 * (1 + 2**-52)], np.sqrt(TestInPlaceExactness.D2[3::25])])
+
+    @pytest.mark.parametrize("model", EXACT_MODELS, ids=lambda m: f"{m.family}-{m.beta}-{m.eta}")
+    def test_h(self, model):
+        self.check(h, model)
+
+    @pytest.mark.parametrize(
+        "model", [m for m in EXACT_MODELS if m.smooth], ids=lambda m: f"{m.family}-{m.beta}-{m.eta}"
+    )
+    def test_h_prime(self, model):
+        self.check(h_prime, model)
+
+    def check(self, f, model):
+        want = f(model, self.R)
+        for r, w in zip(self.R.tolist(), want.tolist()):
+            for scalar in (r, np.float64(r), np.array(r)):
+                got = f(model, scalar)
+                assert type(got) is float and got == w, (scalar, got, w)
+
+
+class TestNegativeDistance:
+    @pytest.mark.parametrize("model", [mimo_mrc_2x2(1.0), rayleigh(1.0, 2.5), hard_disk(1.0)])
+    @pytest.mark.parametrize(
+        "r", [-1.0, np.float64(-1.0), np.array(-1.0), np.array([0.5, -1.0]), [-0.0, -2.0]]
+    )
+    def test_refused(self, model, r):
+        fs = (h, h_prime) if model.smooth else (h,)
+        for f in fs:
+            with pytest.raises(ModelError, match="non-negative"):
+                f(model, r)
+
+    def test_negative_zero_allowed(self):
+        m = rayleigh(1.0, 2.5)
+        assert h(m, -0.0) == 1.0
+        assert h_prime(m, -0.0) == 0.0
+
+
 class TestSpecs:
     def test_parse(self):
         assert model_from_spec({"family": "mimo_mrc_2x2", "beta": 2.0}).beta == 2.0

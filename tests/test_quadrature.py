@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
-from prismnet import analytic
+from prismnet import analytic, quadrature
 from prismnet.channel import (
     ModelError,
     bulk_mass,
@@ -20,6 +20,7 @@ from prismnet.channel import (
 from prismnet.geometry import BoundaryFeature
 from prismnet.quadrature import (
     QuadratureError,
+    _edge_j,
     _face_slope,
     _face_zeroth,
     _wedge_j_integrals,
@@ -207,6 +208,27 @@ class TestValidationSuite:
         failing = [r for r in rows if not r.passed]
         assert failing == []
 
+    def test_wedge_integrals_once_per_beta(self, monkeypatch):
+        # One J triple per beta serves its corner and edge rows; the outer
+        # corner and edge rows integrate their own.
+        calls = []
+        wedge = quadrature._wedge_j_integrals
+
+        def counted(model):
+            calls.append(model)
+            return wedge(model)
+
+        monkeypatch.setattr(quadrature, "_wedge_j_integrals", counted)
+        rows = validation_suite()
+        assert len(calls) <= len(BETAS) + 2
+        inner = [r for r in rows if r.kind in ("inner_corner", "inner_edge")]
+        assert len(inner) == 2 * len(BETAS) * len(THETAS)
+        for r in inner:
+            p = dict(r.params)
+            model = mimo_mrc_2x2(p.pop("beta"))
+            public = inner_corner if r.kind == "inner_corner" else inner_edge
+            assert r.quadrature == public(model=model, **p), (r.kind, r.params)
+
 
 # Reference forms for the radial reductions: the wedge J-integrals as 2-D
 # Cartesian integrals over the (r, z) quarter plane, and the face integrals
@@ -258,9 +280,9 @@ MODELS = pytest.mark.parametrize(
 class TestRadialReduction:
     @MODELS
     def test_wedge_matches_cartesian(self, model):
-        J1, J2, J3 = _wedge_j_integrals(model, half_z=True)
+        J1, J2, J3 = _wedge_j_integrals(model)
         assert_allclose((J1, J2, J3), _cartesian_j_integrals(model), rtol=1e-9)
-        assert _wedge_j_integrals(model, half_z=False) == (2.0 * J1, 0.0, 2.0 * J3)
+        assert _edge_j((J1, J2, J3)) == (2.0 * J1, 0.0, 2.0 * J3)
 
     @pytest.mark.parametrize("R", [0.5, 3.0, 10.0])
     @MODELS

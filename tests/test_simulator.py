@@ -196,6 +196,21 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= 1.35 * pair_bytes, f"peak {peak / pair_bytes:.2f} x pair array"
 
+    def test_budget_covers_every_pair_linked(self):
+        # A range far beyond the domain links every pair, so the link arrays
+        # outweigh the distances several times over; the budget counts them.
+        # N=300 has more pairs than one H block.
+        cfg = SimConfig(domain=build_house(2.0), model=hard_disk(100.0), trials=1, rho=30.0)
+        pairs = cfg.n * (cfg.n - 1) // 2
+        assert pairs > _kernel.BLOCK
+        tracemalloc.start()
+        try:
+            assert _count_range(cfg, 0, 1) == (1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 4 * 8 * pairs < peak <= _kernel.workspace_bytes(cfg.n)
+
 
 @pytest.fixture
 def pools(monkeypatch):
@@ -224,14 +239,18 @@ class TestWorkers:
         assert estimate(cfg, 2) == serial
         assert pools == []
 
-    def test_memory_budget_is_the_distance_array(self, monkeypatch):
-        # One float64 squared distance per pair: one byte less is refused.
+    def test_memory_budget_is_the_workspace_bytes(self, monkeypatch):
+        # The squared distances, the block buffers and every pair's link
+        # arrays: one byte less is refused.
         args = dict(domain=build_house(2.0), model=mimo_mrc_2x2(1.0), trials=1, rho=1.0)
         n = SimConfig(**args).n
-        monkeypatch.setattr(simulator, "PHYSICAL_MEMORY", 8 * (n * (n - 1) // 2) - 1)
+        pairs = n * (n - 1) // 2
+        need = _kernel.workspace_bytes(n)
+        assert need == 48 * pairs + 25 * min(pairs, _kernel.BLOCK)
+        monkeypatch.setattr(simulator, "PHYSICAL_MEMORY", need - 1)
         with pytest.raises(SimulationError, match="physical memory"):
             SimConfig(**args)
-        monkeypatch.setattr(simulator, "PHYSICAL_MEMORY", 8 * (n * (n - 1) // 2))
+        monkeypatch.setattr(simulator, "PHYSICAL_MEMORY", need)
         assert SimConfig(**args).n == n
 
     def test_single_node_counts_every_trial(self, pools):
