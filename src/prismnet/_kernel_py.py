@@ -1,19 +1,23 @@
-"""Pair-graph kernel: link draws and connectivity of one trial's node set.
+"""Pair-graph kernel: link draws and connectivity of a batch of trials.
 
-Pair k is (i, j), i < j, in row-major condensed order, the order scipy's
-pdist uses; pair k is linked when u[k] < H(|x_i - x_j|), where u[k] is the
-k-th uniform the kernel draws from the trial's generator.
+A batch holds B trials of n nodes each.  Within a trial, pair p is (i, j),
+i < j, in row-major condensed order, the order scipy's pdist uses.  The
+batch lays its trials' pairs end to end, so pair p of trial t is batch pair
+t P + p, with P = n(n-1)/2; it is linked when u < H(|x_i - x_j|), where u
+is the p-th uniform drawn from trial t's own generator.
 
-The uniforms, H and the link test run over blocks of BLOCK pairs, so their
-buffers stay in cache and live in a ``Workspace`` that a run of trials
-reuses; only the squared distances span all pairs.  Connectivity is decided
-on the list of linked pairs, so no n x n array is allocated.
+The uniforms, H and the link test run over blocks of BLOCK batch pairs, so
+their buffers stay in cache and live in a ``Workspace`` that a run of
+batches reuses; only the squared distances span all pairs.  A block may
+cross trial boundaries: it draws each trial's stretch of it from that
+trial's generator, so every trial's uniforms continue one stream.  The
+batch is then decided as one graph, the disjoint union of its trials'
+graphs, on the list of linked pairs, so no n x n array is allocated.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .channel import ConnectivityModel, h_of_d2
 
@@ -21,71 +25,123 @@ from .channel import ConnectivityModel, h_of_d2
 # scratch buffers, 256 KiB each, fit together in L2 cache.
 BLOCK = 1 << 15
 
+# Pairs per batch: a batch holds BATCH // P trials, at least one, so small
+# trials share each numpy call.  At most MAX_TRIALS, which bounds the
+# generators a batch holds when P is tiny.
+BATCH = 1 << 17
+MAX_TRIALS = 1 << 8
+
+
+def batch_trials(n) -> int:
+    """Trials per batch of trials of n nodes."""
+    pairs = 0.5 * n * (n - 1)
+    return int(min(MAX_TRIALS, max(1, BATCH // pairs))) if pairs else MAX_TRIALS
+
 
 class Workspace:
-    """Reusable buffers for trials of n nodes.
+    """Reusable buffers for batches of up to ``trials`` trials of n nodes.
 
-    ``d2`` holds the squared distances of all n(n-1)/2 pairs, and once
-    the links are found its bytes hold the search's flags; ``u``, ``h``,
-    ``scratch`` and ``link`` hold one block of pair uniforms, H, its
-    intermediate and the link test; ``starts[i]`` is the condensed index of
-    pair (i, i + 1), where row i begins.
+    ``d2`` holds the squared distances of all the batch's pairs, trial t's
+    in ``slot(t)``, and once the links are found its bytes hold the
+    search's flags; ``u``, ``h``, ``scratch`` and ``link`` hold one block
+    of pair uniforms, H, its intermediate and the link test.  Row r of the
+    batch is row r mod (n-1) of trial r // (n-1): ``starts[r]`` is the batch
+    pair where it begins (and ``starts[-1]`` is the batch's pair count),
+    ``nodes[r]`` its node in the batch's union graph, and ``shift[r]`` takes
+    its pairs to their columns, j = k + shift[r].
+    These and the link indices are int32 while the batch's pairs fit.
     """
 
-    def __init__(self, n: int):
-        pairs = n * (n - 1) // 2
-        block = min(pairs, BLOCK)
-        self.d2 = np.empty(pairs)
+    def __init__(self, n: int, trials: int):
+        self.n = n
+        self.trials = trials
+        self.pairs = n * (n - 1) // 2
+        size = trials * self.pairs
+        block = min(size, BLOCK)
+        self.index = np.int32 if size < 2**31 else np.int64
+        self.d2 = np.empty(size)
         self.u = np.empty(block)
         self.h = np.empty(block)
         self.scratch = np.empty(block)
         self.link = np.empty(block, dtype=bool)
         rows = np.arange(n - 1)
-        self.starts = rows * n - rows * (rows + 1) // 2
+        first = np.arange(trials)[:, None]
+        starts = rows * n - rows * (rows + 1) // 2 + first * self.pairs
+        nodes = rows + first * n
+        self.starts = np.append(starts, size).astype(self.index)
+        self.nodes = nodes.ravel().astype(self.index)
+        self.shift = (nodes + 1 - starts).ravel().astype(self.index)
+
+    def slot(self, t: int) -> np.ndarray:
+        """Trial t's squared distances, in pair order."""
+        return self.d2[t * self.pairs : (t + 1) * self.pairs]
 
 
-# A trial holds at most five int64 arrays of one entry per link: the link
-# indices k, their rows i and columns j, and, in the search, the crossing
-# links and the ends taken from them (before that, two temporaries of j).
-LINK_ARRAYS = 5
+# The link arrays peak at four index arrays' worth of one entry per link:
+# the rows i and columns j (j is built in the link indices' place), and
+# besides them one of these: the repeated row shifts that turn the link
+# indices into j; the intp copy of int32 i or j that bincount and take make;
+# the search's crossing links (intp) and the ends taken from them, which
+# cross fewer than half the pairs.  Joining the per-block link indices holds
+# two.
+LINK_ARRAYS = 4
+# A block's u, h, scratch and link test, and the intp indices of its links.
+BLOCK_BYTES = 8 + 8 + 8 + 1 + 8
+# Per trial: its generator, about 950 bytes by tracemalloc's count, and its
+# share of the batch's bookkeeping.  Per node: the row tables, the degree
+# counts and reach flags, and the temporaries that build them.
+TRIAL_BYTES = 2048
+NODE_BYTES = 64
 
 
 def workspace_bytes(n) -> float:
-    """Peak bytes of a trial of n nodes when every pair links: a
-    ``Workspace(n)``'s squared distances and block buffers (u, h, scratch
-    and link: 25 bytes per block pair), plus the link arrays.  The arrays
-    that grow with the nodes are left out."""
-    pairs = 0.5 * n * (n - 1)
-    return (8.0 + 8.0 * LINK_ARRAYS) * pairs + 25.0 * min(pairs, BLOCK)
+    """Peak bytes of a batch of trials of n nodes when every pair links: a
+    full ``Workspace``'s squared distances and block buffers, the link
+    arrays (4-byte indices while the batch's pairs fit in int32), and the
+    trials' generators and node arrays."""
+    trials = batch_trials(n)
+    pairs = 0.5 * n * (n - 1) * trials
+    index = 4.0 if pairs < 2**31 else 8.0
+    return (
+        (8.0 + index * LINK_ARRAYS) * pairs
+        + BLOCK_BYTES * min(pairs, BLOCK)
+        + (TRIAL_BYTES + NODE_BYTES * n) * trials
+    )
 
 
-def _links(rng, d2, model: ConnectivityModel, ws: Workspace) -> np.ndarray:
-    """Indices k of the linked pairs, u[k] < H(d2[k]), block by block.
+def _links(rngs, model: ConnectivityModel, ws: Workspace) -> np.ndarray:
+    """Batch pair indices k of the links, u < H(d2), in order, block by block.
 
-    Each block's uniforms are drawn just before its test; consecutive draws
-    continue one stream, so pair k gets the same uniform as one draw of all
-    pairs would give it.
+    Each block's uniforms are drawn just before its test, each trial's
+    stretch from its own generator; consecutive draws continue one stream,
+    so a trial's pair gets the same uniform as one draw of all its pairs
+    would give it.
     """
+    pairs = ws.pairs
+    size = len(rngs) * pairs
     found = []
-    for s in range(0, d2.size, BLOCK):
-        b = min(BLOCK, d2.size - s)
-        u = rng.random(out=ws.u[:b])
-        h = h_of_d2(model, d2[s : s + b], out=ws.h[:b], scratch=ws.scratch[:b])
-        k = np.flatnonzero(np.less(u, h, out=ws.link[:b]))
-        found.append(k + s)
+    for s in range(0, size, BLOCK):
+        b = min(BLOCK, size - s)
+        for t in range(s // pairs, (s + b - 1) // pairs + 1):
+            lo, hi = max(s, t * pairs), min(s + b, (t + 1) * pairs)
+            rngs[t].random(out=ws.u[lo - s : hi - s])
+        h = h_of_d2(model, ws.d2[s : s + b], out=ws.h[:b], scratch=ws.scratch[:b])
+        k = np.flatnonzero(np.less(ws.u[:b], h, out=ws.link[:b]))
+        found.append(np.add(k, s, dtype=ws.index))
     return np.concatenate(found)
 
 
-def _reaches_all(n: int, i: np.ndarray, j: np.ndarray, flags: np.ndarray) -> bool:
-    """Whether the links (i[m], j[m]) connect all n nodes.
+def _reached(m: int, seeds: np.ndarray, i: np.ndarray, j: np.ndarray, flags) -> np.ndarray:
+    """Which of the m nodes the links (i[l], j[l]) connect to a seed.
 
-    Grows the set reached from node 0 by both ends of every link that
+    Grows the set reached from the seeds by both ends of every link that
     crosses its boundary, until no link does.  ``flags``, a bool array of at
     least 2 len(i) entries, holds whether each link end is reached, so an
-    iteration allocates only the crossing links.
+    iteration allocates only the crossing links and, for int32 links, the
+    intp copy of i or j that take makes.
     """
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
+    seen = np.zeros(m, dtype=bool)
+    seen[seeds] = True
     si, sj = flags[: i.size], flags[i.size : 2 * i.size]
     while True:
         # Every index is a node, so "clip" clips nothing; it spares take a
@@ -94,29 +150,40 @@ def _reaches_all(n: int, i: np.ndarray, j: np.ndarray, flags: np.ndarray) -> boo
         seen.take(j, out=sj, mode="clip")
         cross = np.flatnonzero(np.not_equal(si, sj, out=si))
         if not cross.size:
-            return bool(seen.all())
+            return seen
         seen[i.take(cross)] = True
         seen[j.take(cross)] = True
 
 
-def pair_graph_stats(pos, rng, model: ConnectivityModel, workspace=None) -> tuple[bool, int]:
-    """Return (connected, min_degree) of the random link graph.
+def pair_graph_stats(rngs, model: ConnectivityModel, ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """Return the (connected, min_degree) arrays of a batch of random link graphs.
 
-    ``rng`` supplies the pair uniforms, n(n-1)/2 of them in pair order,
-    through ``rng.random(out=...)``.  ``workspace`` is a
-    ``Workspace(len(pos))`` to reuse; without one the call makes its own.
+    Trial t of the batch has its squared distances in ``ws.slot(t)``, and
+    ``rngs[t]`` supplies its pair uniforms, P of them in pair order, through
+    ``random(out=...)``; ``ws`` is a ``Workspace`` of n nodes and at least
+    ``len(rngs)`` trials.
     """
-    n = pos.shape[0]
+    trials, n = len(rngs), ws.n
     if n == 1:
-        return True, 0
-    ws = Workspace(n) if workspace is None else workspace
-    k = _links(rng, pdist(pos, "sqeuclidean", out=ws.d2), model, ws)
-    i = np.searchsorted(ws.starts, k, side="right") - 1
-    j = k - ws.starts[i] + i + 1
-    min_degree = int((np.bincount(i, minlength=n) + np.bincount(j, minlength=n)).min())
-    if min_degree == 0:
-        # An isolated node disconnects any graph of two or more nodes.
-        return False, 0
-    # The squared distances are spent: their 8 bytes per pair hold the
-    # search's 2 flags per link.
-    return _reaches_all(n, i, j, ws.d2.view(bool)), min_degree
+        return np.ones(trials, dtype=bool), np.zeros(trials, dtype=int)
+    k = _links(rngs, model, ws)
+    # The links come in pair order, so each row's links are one run of them.
+    rows = trials * (n - 1)
+    cuts = np.searchsorted(k, ws.starts[: rows + 1])
+    per_row = cuts[1:] - cuts[:-1]
+    i = ws.nodes[:rows].repeat(per_row)
+    # The columns j = k + shift[row] overwrite the link indices.
+    j = k
+    j += ws.shift[:rows].repeat(per_row)
+    m = trials * n
+    degree = np.bincount(j, minlength=m)
+    degree[ws.nodes[:rows]] += per_row
+    min_degree = degree.reshape(trials, n).min(axis=1)
+    # An isolated node disconnects any graph of two or more nodes.
+    connected = min_degree > 0
+    if connected.any():
+        # The squared distances are spent: their 8 bytes per pair hold the
+        # search's 2 flags per link.
+        seen = _reached(m, np.arange(0, m, n), i, j, ws.d2.view(bool))
+        connected &= seen.reshape(trials, n).all(axis=1)
+    return connected, min_degree

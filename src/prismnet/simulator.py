@@ -3,21 +3,25 @@
 Each trial samples N nodes uniformly in the domain, then draws one uniform
 per node pair, in row-major condensed order, and links the pair when the
 uniform falls below H(distance).  The numpy pair-graph kernel in
-``_kernel_py`` returns the graph's connectivity and minimum degree: it
-stops at an isolated node, and otherwise searches the list of links from
-node 0.
+``_kernel_py`` decides a batch of trials in one call and returns each
+graph's connectivity and minimum degree: a graph with an isolated node is
+disconnected, and the others are searched along the list of links from
+their first node.
 
-Each chunk of trials allocates one workspace and every trial writes into
-it: one float64 array of N(N-1)/2 squared distances, i.e. 6.2 MB at
-N = 1250 and 400 MB at N = 10,000, plus cache-sized blocks for the pair
-uniforms, H and the link test.  The link list grows with the number of
-links, not of pairs, and the search keeps its per-link flags in the spent
-squared distances; when every pair links, the link arrays take five times
-the bytes of the distances.  A run holds one workspace and one trial's link
-arrays per worker, and physical memory is their budget, counted for the
-worst case by ``_kernel.workspace_bytes``: ``SimConfig`` refuses an N whose
-one worker exceeds it, and ``estimate`` runs no more workers than there are
-trials or workers that fit in it.
+A batch holds B = BATCH // (N(N-1)/2) trials (``_kernel.batch_trials``),
+at least one and at most MAX_TRIALS: about ten at N = 156, one from N = 363
+up.  Each chunk of trials allocates one workspace, and every batch writes
+into it: one float64 array of the batch's B N(N-1)/2 squared distances,
+i.e. 1 MB at N = 156, 6.2 MB at N = 1250 and 400 MB at N = 10,000, plus
+cache-sized blocks for the pair uniforms, H and the link test.  The link
+list grows with the number of links, not of pairs; its indices are int32
+while the batch's pairs fit, and the search keeps its per-link flags in the
+spent squared distances.  When every pair links, a batch peaks at 24 bytes
+per pair, 8 of distance and 16 of link arrays, plus the blocks and, per
+trial, 2 KB for its generator and 64 bytes per node.  A run holds one batch per worker, and physical memory
+is their budget, counted for the worst case by ``_kernel.workspace_bytes``:
+``SimConfig`` refuses an N whose one worker exceeds it, and ``estimate``
+runs no more workers than there are trials or workers that fit in it.
 
 Trials are fully determined by (seed, trial_index): random numbers come
 from a per-trial generator seeded with that pair, so serial, reordered,
@@ -29,10 +33,12 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from . import _kernel_py as _kernel
 from .base import DEFAULT_SEED, InputError
@@ -132,12 +138,30 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial_index]))
 
 
-def run_trial(config: SimConfig, trial_index: int, workspace=None) -> tuple[bool, int]:
-    """One trial's (connected, min_degree); ``workspace`` is a ``_kernel.Workspace(config.n)``."""
-    n = config.n
+def run_trial(
+    config: SimConfig, trial_index: int, d2: np.ndarray
+) -> tuple[np.ndarray, np.random.Generator]:
+    """Start trial ``trial_index``: sample its nodes and write their squared
+    pair distances, in pair order, into ``d2``.  Returns the positions and
+    the trial's generator, from which the kernel draws the pair uniforms."""
     rng = trial_rng(config.seed, trial_index)
-    pos = config.domain.sample(n, rng)
-    return _kernel.pair_graph_stats(pos, rng, config.model, workspace)
+    pos = config.domain.sample(config.n, rng)
+    pdist(pos, "sqeuclidean", out=d2)
+    return pos, rng
+
+
+def trial_outcomes(
+    config: SimConfig, start: int, stop: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the (connected, min_degree) arrays of trials start..stop-1
+    (start < stop), one kernel batch at a time, in trial order."""
+    ws = _kernel.Workspace(config.n, min(_kernel.batch_trials(config.n), stop - start))
+    for first in range(start, stop, ws.trials):
+        # The batch's generators live only as long as the kernel call.
+        trials = range(first, min(first + ws.trials, stop))
+        yield _kernel.pair_graph_stats(
+            [run_trial(config, t, ws.slot(t - first))[1] for t in trials], config.model, ws
+        )
 
 
 def _count_range(config: SimConfig, start: int, stop: int) -> tuple[int, int]:
@@ -145,11 +169,9 @@ def _count_range(config: SimConfig, start: int, stop: int) -> tuple[int, int]:
     # two or more nodes has no isolated node.
     fc = 0
     deg_ok = 0
-    workspace = _kernel.Workspace(config.n)
-    for t in range(start, stop):
-        connected, min_degree = run_trial(config, t, workspace)
-        fc += connected
-        deg_ok += connected or min_degree >= 1
+    for connected, min_degree in trial_outcomes(config, start, stop):
+        fc += int(np.count_nonzero(connected))
+        deg_ok += int(np.count_nonzero(connected | (min_degree >= 1)))
     return fc, deg_ok
 
 
@@ -157,13 +179,12 @@ def estimate(config: SimConfig, workers: int = 1) -> SimResult:
     """Aggregate `config.trials` independent trials into a SimResult.
 
     Runs at most ``workers`` processes, one per trial and per worst-case
-    trial (``_kernel.workspace_bytes``) that fits in physical memory; the
+    batch (``_kernel.workspace_bytes``) that fits in physical memory; the
     counts do not depend on how many run.
     """
     t0 = time.perf_counter()
     need = _kernel.workspace_bytes(config.n)
-    fit = int(PHYSICAL_MEMORY // need) if need else workers
-    workers = min(workers, config.trials, fit)
+    workers = min(workers, config.trials, int(PHYSICAL_MEMORY // need))
     if workers > 1:
         chunks = np.linspace(0, config.trials, workers + 1, dtype=int)
         fc = deg_ok = 0

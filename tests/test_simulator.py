@@ -21,6 +21,7 @@ from prismnet.simulator import (
     estimate,
     run_trial,
     sweep,
+    trial_outcomes,
     trial_rng,
 )
 
@@ -39,12 +40,34 @@ class PresetUniforms:
 
 
 def preset_stats(kernel, pos, u, model):
-    """The kernel's (connected, min_degree) with pair k drawing u[k]; every
-    uniform must be drawn."""
+    """The kernel's (connected, min_degree) of one trial, a batch of one, with
+    pair k drawing u[k]; every uniform must be drawn."""
+    ws = kernel.Workspace(pos.shape[0], 1)
+    pdist(pos, "sqeuclidean", out=ws.slot(0))
     rng = PresetUniforms(u)
-    stats = kernel.pair_graph_stats(pos, rng, model)
+    connected, min_degree = kernel.pair_graph_stats([rng], model, ws)
     assert rng.used == u.size
-    return stats
+    return bool(connected[0]), int(min_degree[0])
+
+
+def outcomes(cfg, start, stop):
+    """Trials start..stop-1's (connected, min_degree), decided in the simulator's batches."""
+    return [
+        (bool(c), int(m))
+        for connected, min_degree in trial_outcomes(cfg, start, stop)
+        for c, m in zip(connected, min_degree)
+    ]
+
+
+def one_by_one(cfg, start, stop):
+    """The same trials' outcomes, each decided alone as a batch of one."""
+    ws = _kernel.Workspace(cfg.n, 1)
+    got = []
+    for t in range(start, stop):
+        rng = run_trial(cfg, t, ws.slot(0))[1]
+        connected, min_degree = _kernel.pair_graph_stats([rng], cfg.model, ws)
+        got.append((bool(connected[0]), int(min_degree[0])))
+    return got
 
 
 def kernel_on_graph(kernel, adj):
@@ -113,6 +136,7 @@ class TestKernelExactness:
         # Real trials, with each link drawn from H pair by pair in a plain loop.
         cfg = SimConfig(domain=domain, model=model, trials=1, rho=rho)
         n = cfg.n
+        batched = outcomes(cfg, 0, 100)
         kinds = set()
         for t in range(100):
             rng = trial_rng(cfg.seed, t)
@@ -127,7 +151,7 @@ class TestKernelExactness:
                     k += 1
             want = reachability_oracle(adj)
             assert preset_stats(_kernel, pos, u, model) == want, f"trial {t}"
-            assert run_trial(cfg, t) == want
+            assert batched[t] == want, f"trial {t}"
             kinds.add((want[0], want[1] > 0))
         # Connected graphs, isolated nodes, and disconnected graphs with no
         # isolated node (decided by the search) all occur.
@@ -138,6 +162,7 @@ class TestKernelExactness:
         cfg = SimConfig(domain=build_house(10.0), model=mimo_mrc_2x2(1.0), trials=1, rho=0.3)
         n = cfg.n
         assert n * (n - 1) // 2 > 2 * _kernel.BLOCK
+        batched = outcomes(cfg, 0, 30)
         kinds = set()
         for t in range(30):
             rng = trial_rng(cfg.seed, t)
@@ -150,31 +175,99 @@ class TestKernelExactness:
             adj |= adj.T
             want = reachability_oracle(adj)
             assert preset_stats(_kernel, pos, u, cfg.model) == want, f"trial {t}"
-            assert run_trial(cfg, t) == want
+            assert batched[t] == want, f"trial {t}"
             kinds.add((want[0], want[1] > 0))
         assert kinds == {(True, True), (False, False), (False, True)}
 
     def test_blocked_draws_continue_one_stream(self):
-        # N = 375: three H blocks, each drawing its own uniforms.  The kernel
-        # leaves the generator where one draw of every pair leaves its twin.
-        cfg = SimConfig(domain=build_house(10.0), model=mimo_mrc_2x2(1.0), trials=1, rho=0.3)
-        n = cfg.n
-        assert n == 375
-        rng, twin = trial_rng(cfg.seed, 0), trial_rng(cfg.seed, 0)
-        pos = cfg.domain.sample(n, rng)
-        cfg.domain.sample(n, twin)
-        _kernel.pair_graph_stats(pos, rng, cfg.model)
-        twin.random(n * (n - 1) // 2)
-        assert rng.random() == twin.random()
+        # N = 375: a batch of one trial over three H blocks, each drawing its
+        # own uniforms.  N = 156: a batch of ten trials whose H blocks cut
+        # through trials.  The kernel leaves each trial's generator where one
+        # draw of all its pairs leaves its twin.
+        for side, rho, n in ((10.0, 0.3, 375), (5.0, 1.0, 156)):
+            cfg = SimConfig(domain=build_house(side), model=mimo_mrc_2x2(1.0), trials=1, rho=rho)
+            assert cfg.n == n
+            trials = _kernel.batch_trials(n)
+            ws = _kernel.Workspace(n, trials)
+            rngs = [run_trial(cfg, t, ws.slot(t))[1] for t in range(trials)]
+            _kernel.pair_graph_stats(rngs, cfg.model, ws)
+            for t, rng in enumerate(rngs):
+                twin = trial_rng(cfg.seed, t)
+                cfg.domain.sample(n, twin)
+                twin.random(ws.pairs)
+                assert rng.random() == twin.random(), f"N={n} trial {t}"
 
     def test_workspace_reuse_matches_fresh(self):
-        # One workspace across trials and models gives each trial's own outcome.
+        # One workspace across trials and models gives each trial its own outcome.
         d = build_house(10.0)
+        ws = _kernel.Workspace(375, 1)
         for model in (mimo_mrc_2x2(1.0), rayleigh(1.0, 3.0), hard_disk(1.2)):
             cfg = SimConfig(domain=d, model=model, trials=1, rho=0.3)
-            ws = _kernel.Workspace(cfg.n)
             for t in range(6):
-                assert run_trial(cfg, t, ws) == run_trial(cfg, t)
+                rng = run_trial(cfg, t, ws.slot(0))[1]
+                connected, min_degree = _kernel.pair_graph_stats([rng], model, ws)
+                assert [(bool(connected[0]), int(min_degree[0]))] == one_by_one(cfg, t, t + 1)
+
+
+HEX_BASE = Polygon2D(
+    [[2.0 * math.cos(k * math.pi / 3), 2.0 * math.sin(k * math.pi / 3)] for k in range(6)]
+)
+
+
+class TestBatches:
+    """A batch decides each of its trials as that trial alone would be decided."""
+
+    @pytest.mark.parametrize(
+        "domain, model, rho, trials",
+        [
+            (build_house(5.0), mimo_mrc_2x2(1.0), 1.0, 25),
+            (build_house(3.0), rayleigh(1.0, 3.0), 1.0, 300),
+            (build_house(3.0), hard_disk(1.0), 1.0, 300),
+            (build_half_cylinder(5.0, 4.0), mimo_mrc_2x2(1.0), 0.25, 400),
+            (build_half_cylinder(2.5, 2.0), rayleigh(1.0, 3.0), 1.5, 300),
+            (build_half_cylinder(2.0, 2.0), hard_disk(0.9), 2.0, 300),
+            (build_right_prism(HEX_BASE, 3.0), rayleigh(1.0, 3.0), 5.0, 25),
+            (build_right_prism(HEX_BASE, 1.0), mimo_mrc_2x2(3.0), 2.0, 300),
+            (build_right_prism(HEX_BASE, 1.0), hard_disk(0.7), 3.0, 300),
+        ],
+        ids=[
+            "house-mimo", "house-rayleigh", "house-hard-disk",
+            "half-cylinder-mimo", "half-cylinder-rayleigh", "half-cylinder-hard-disk",
+            "hex-prism-rayleigh", "hex-prism-mimo", "hex-prism-hard-disk",
+        ],
+    )
+    def test_batched_matches_one_by_one(self, domain, model, rho, trials):
+        cfg = SimConfig(domain=domain, model=model, trials=1, rho=rho)
+        batch = _kernel.batch_trials(cfg.n)
+        # Several batches, the last one short, and H blocks that cut through
+        # a trial.
+        assert 1 < batch < trials and trials % batch
+        assert batch * cfg.n * (cfg.n - 1) // 2 > _kernel.BLOCK
+        got = outcomes(cfg, 0, trials)
+        assert got == one_by_one(cfg, 0, trials)
+        # Connected graphs and isolated nodes both occur.
+        assert {c for c, _ in got} == {True, False}
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tiny_trials(self, n):
+        # More trials than one batch holds.
+        cfg = SimConfig(domain=build_house(1.0), model=hard_disk(0.8), trials=1, rho=0.8 * n)
+        assert cfg.n == n
+        trials = 3 * _kernel.MAX_TRIALS // 2
+        got = outcomes(cfg, 0, trials)
+        assert got == one_by_one(cfg, 0, trials)
+        if n == 1:
+            assert set(got) == {(True, 0)}
+        else:
+            assert set(got) == {(True, 1), (False, 0)}
+
+    def test_trials_of_several_blocks(self):
+        # Two trials to a batch, each with more pairs than one H block.  (A
+        # trial alone in its batch: test_multi_block_trials_match_dense_reference.)
+        cfg = SimConfig(domain=build_house(4.0), model=mimo_mrc_2x2(1.0), trials=1, rho=3.75)
+        assert (cfg.n, _kernel.batch_trials(cfg.n)) == (300, 2)
+        assert 300 * 299 // 2 > _kernel.BLOCK
+        assert outcomes(cfg, 0, 5) == one_by_one(cfg, 0, 5)
 
 
 class TestMemory:
@@ -198,18 +291,50 @@ class TestMemory:
 
     def test_budget_covers_every_pair_linked(self):
         # A range far beyond the domain links every pair, so the link arrays
-        # outweigh the distances several times over; the budget counts them.
-        # N=300 has more pairs than one H block.
-        cfg = SimConfig(domain=build_house(2.0), model=hard_disk(100.0), trials=1, rho=30.0)
-        pairs = cfg.n * (cfg.n - 1) // 2
-        assert pairs > _kernel.BLOCK
+        # outweigh the distances; the budget counts them for a full batch.
+        # N=300: two trials of more pairs than one H block.  N=40: 168
+        # trials, cut by the H blocks.
+        for rho, n, batch in ((30.0, 300, 2), (4.0, 40, 168)):
+            cfg = SimConfig(domain=build_house(2.0), model=hard_disk(100.0), trials=1, rho=rho)
+            assert (cfg.n, _kernel.batch_trials(cfg.n)) == (n, batch)
+            pairs = batch * n * (n - 1) // 2
+            assert pairs > _kernel.BLOCK
+            tracemalloc.start()
+            try:
+                assert _count_range(cfg, 0, batch) == (batch, batch)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # The distances and each link's two int32 ends are held at once.
+            assert (8 + 2 * 4) * pairs < peak <= _kernel.workspace_bytes(n), f"N={n}"
+
+    def test_generators_per_batch_are_bounded(self, monkeypatch):
+        # N=2: one pair per trial, so a batch's size is set by MAX_TRIALS,
+        # and the generators it holds are most of its bytes.  Many batches
+        # hold no more than one does.
+        cfg = SimConfig(domain=build_house(1.0), model=hard_disk(100.0), trials=1, rho=1.6)
+        assert cfg.n == 2
+        trials = 8 * _kernel.MAX_TRIALS
         tracemalloc.start()
         try:
-            assert _count_range(cfg, 0, 1) == (1, 1)
+            one = trial_rng(0, 0)
+            generator_bytes = tracemalloc.get_traced_memory()[0]
+            del one
+            sizes = []
+            kernel = _kernel.pair_graph_stats
+
+            def spy(rngs, model, ws):
+                sizes.append(len(rngs))
+                return kernel(rngs, model, ws)
+
+            monkeypatch.setattr(_kernel, "pair_graph_stats", spy)
+            tracemalloc.reset_peak()
+            assert _count_range(cfg, 0, trials) == (trials, trials)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 4 * 8 * pairs < peak <= _kernel.workspace_bytes(cfg.n)
+        assert sizes == [_kernel.MAX_TRIALS] * 8
+        assert peak <= _kernel.workspace_bytes(2) < trials * generator_bytes
 
 
 @pytest.fixture
@@ -240,13 +365,15 @@ class TestWorkers:
         assert pools == []
 
     def test_memory_budget_is_the_workspace_bytes(self, monkeypatch):
-        # The squared distances, the block buffers and every pair's link
-        # arrays: one byte less is refused.
+        # A full batch's squared distances, block buffers, every pair's link
+        # arrays, and its trials' generators and node arrays: one byte less
+        # is refused.
         args = dict(domain=build_house(2.0), model=mimo_mrc_2x2(1.0), trials=1, rho=1.0)
         n = SimConfig(**args).n
-        pairs = n * (n - 1) // 2
+        batch = _kernel.batch_trials(n)
+        pairs = batch * n * (n - 1) // 2
         need = _kernel.workspace_bytes(n)
-        assert need == 48 * pairs + 25 * min(pairs, _kernel.BLOCK)
+        assert need == 24 * pairs + 33 * min(pairs, _kernel.BLOCK) + (2048 + 64 * n) * batch
         monkeypatch.setattr(simulator, "PHYSICAL_MEMORY", need - 1)
         with pytest.raises(SimulationError, match="physical memory"):
             SimConfig(**args)
@@ -254,7 +381,7 @@ class TestWorkers:
         assert SimConfig(**args).n == n
 
     def test_single_node_counts_every_trial(self, pools):
-        # One node: a workspace of 0 bytes, and a graph the kernel calls connected.
+        # One node: no pairs, and a graph the kernel calls connected.
         cfg = SimConfig(domain=build_house(1.0), model=mimo_mrc_2x2(1.0), trials=4, rho=1.0)
         assert cfg.n == 1
         r = estimate(cfg, 2)
@@ -287,11 +414,6 @@ class TestDeterminism:
         assert not np.array_equal(trial_rng(1, 0).random(8), trial_rng(2, 0).random(8))
         # ... and distinct trials under one seed are independent streams too.
         assert not np.array_equal(trial_rng(1, 0).random(8), trial_rng(1, 1).random(8))
-
-
-HEX_BASE = Polygon2D(
-    [[2.0 * math.cos(k * math.pi / 3), 2.0 * math.sin(k * math.pi / 3)] for k in range(6)]
-)
 
 
 class TestStream:
@@ -339,8 +461,7 @@ class TestConfig:
 class TestStatistics:
     def test_per_trial_implication(self):
         cfg = SimConfig(domain=build_house(2.0), model=mimo_mrc_2x2(1.0), trials=1, rho=1.0)
-        for t in range(2000):
-            connected, min_degree = run_trial(cfg, t)
+        for connected, min_degree in outcomes(cfg, 0, 2000):
             if connected:
                 assert min_degree >= 1
 
