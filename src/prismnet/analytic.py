@@ -10,8 +10,8 @@ where l is the feature codimension and, for every codimension,
 rate = feature.solid_angle / (4 pi) * bulk_mass(model).  ``prefactor``
 collects the geometrical factor and the feature measure.  Closed-form
 prefactors exist only for the 2x2 MIMO MRC family with path-loss exponent
-2; the generic numeric route for other models lives in the quadrature
-module.
+2; for other models ``quadrature.outer_integral`` evaluates each feature's
+term numerically.
 
 The full-connectivity probability is P_fc = 1 - sum of contributions.
 """
@@ -45,7 +45,8 @@ def _require_mimo(model: ConnectivityModel):
     if model.family != MIMO_MRC_2X2:
         raise ClosedFormUnavailableError(
             f"closed-form boundary terms exist only for {MIMO_MRC_2X2} with eta=2; "
-            f"got {model.family} (use the quadrature pipeline instead)"
+            f"got {model.family}; for other models use prismnet.quadrature.outer_integral "
+            "per feature (library only)"
         )
 
 
@@ -70,16 +71,12 @@ class ContributionTerm:
     def outer_integral(self, rho) -> np.ndarray | float:
         """Per-feature outer integral, before the global rho multiplier."""
         rho = np.asarray(rho, dtype=float)
-        out = self._outer_integral(rho, rho ** (-self.codim))
+        out = self.prefactor * rho ** (-self.codim) * np.exp(-rho * self.exponent_rate)
         return float(out) if out.ndim == 0 else out
 
     def contribution(self, rho) -> np.ndarray | float:
         """Outage contribution of the whole group: mult * rho * outer integral."""
         return self.multiplicity * np.asarray(rho, dtype=float) * self.outer_integral(rho)
-
-    def _outer_integral(self, rho: np.ndarray, rho_power: np.ndarray) -> np.ndarray:
-        """outer_integral of a rho array, given rho ** -codim."""
-        return self.prefactor * rho_power * np.exp(-rho * self.exponent_rate)
 
 
 def term(feature: BoundaryFeature, model: ConnectivityModel) -> ContributionTerm:
@@ -119,8 +116,7 @@ def cone_term(theta: float, model: ConnectivityModel) -> ContributionTerm:
     _require_mimo(model)
     if not 0.0 < theta < 2.0 * np.pi:
         raise ValueError("cone solid angle must lie in (0, 2 pi)")
-    d = theta * theta - 6.0 * np.pi * theta + 8.0 * np.pi**2
-    pref = 1024.0 * model.beta**3 * np.pi**4 / (343.0 * theta**2 * d * d)
+    pref = 256.0 * model.beta**3 / (343.0 * np.pi * theta) * cone_shape_function(theta)
     return ContributionTerm("K", 3, pref, theta / (4.0 * np.pi) * bulk_mass(model))
 
 
@@ -141,6 +137,16 @@ def cone_shape_function(theta) -> np.ndarray | float:
     d = theta * theta - 6.0 * np.pi * theta + 8.0 * np.pi**2
     out = 4.0 * np.pi**5 / (theta * d * d)
     return float(out) if out.ndim == 0 else out
+
+
+# Dominance groups follow the four-band structure: bulk, face, all edges,
+# all corners; a term's group is GROUP_ORDER[codim].
+GROUP_ORDER = ("bulk", "face", "edge", "corner")
+
+
+def _dominant_group(groups: np.ndarray) -> np.ndarray:
+    """GROUP_ORDER index of the largest groups[codim, ...]; ties go to the higher codim."""
+    return len(GROUP_ORDER) - 1 - np.argmax(groups[::-1], axis=0)
 
 
 @dataclass(frozen=True)
@@ -173,10 +179,11 @@ class PfcBreakdown:
 
     @property
     def dominant(self) -> str:
-        """Label of the largest term group; ties go to higher codimension."""
-        codim = {t.label: t.codim for t in self.terms}
-        vals = self.group_values()
-        return max(vals, key=lambda k: (vals[k], codim[k]))
+        """The GROUP_ORDER name of the largest codimension group, as ``phase_map`` picks it."""
+        groups = np.zeros(len(GROUP_ORDER))
+        for t, value in zip(self.terms, self.values):
+            groups[t.codim] += value
+        return GROUP_ORDER[_dominant_group(groups)]
 
 
 def _overflow(rho: float) -> OverflowError:
@@ -199,20 +206,10 @@ def assemble_pfc(features: FeatureSet, model: ConnectivityModel, rho: float) -> 
     return PfcBreakdown(domain_terms, values, float(rho), p_out_raw, valid)
 
 
-# Dominance groups follow the four-band structure: bulk, face, all edges,
-# all corners; a term's group is GROUP_ORDER[codim].
-GROUP_ORDER = ("bulk", "face", "edge", "corner")
-
-
-def component_group_values(breakdown: PfcBreakdown) -> dict[str, float]:
-    out = {g: 0.0 for g in GROUP_ORDER}
-    for t, value in zip(breakdown.terms, breakdown.values):
-        out[GROUP_ORDER[t.codim]] += value
-    return out
-
-
 def phase_map(beta: float, rho_grid, L_grid) -> list[tuple[float, float, str]]:
-    """Dominant-component label for every (rho, L) cell, row-major in L then rho."""
+    """Dominant group (as ``PfcBreakdown.dominant``) of the house at each (rho, L)
+    cell, row-major in L then rho.  A house of side L has the unit house's angles
+    and L^(3 - codim) times its measures, so the unit house's groups are scaled."""
     rho_grid = np.asarray(rho_grid, dtype=float)
     L_grid = np.asarray(L_grid, dtype=float)
     if rho_grid.size == 0 or L_grid.size == 0:
@@ -222,22 +219,21 @@ def phase_map(beta: float, rho_grid, L_grid) -> list[tuple[float, float, str]]:
         for g in (rho_grid, L_grid)
     ):
         raise ValueError("phase-map grids must be finite, positive and strictly increasing")
-    model = mimo_mrc_2x2(beta)
-    # groups[i, codim]: the rho row of that group at L_grid[i].
-    groups = np.zeros((L_grid.size, len(GROUP_ORDER), rho_grid.size))
+    for L in (L_grid[0], L_grid[-1]):
+        build_house(L)  # a house too small or too large for a float raises here
+    unit = np.zeros((len(GROUP_ORDER), rho_grid.size))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite group raises below
-        powers = [rho_grid ** (-codim) for codim in range(len(GROUP_ORDER))]
-        for row, L in zip(groups, L_grid.tolist()):
-            for t in terms(build_house(L).features(), model):
-                # t.contribution(rho_grid), sharing the power across terms.
-                row[t.codim] += t.multiplicity * rho_grid * t._outer_integral(
-                    rho_grid, powers[t.codim]
-                )
-            finite = np.isfinite(row).all(axis=0)
-            if not finite.all():
-                raise _overflow(rho_grid[~finite][0])
-    # argmax over reversed order so that equal values pick higher codim.
-    winner = len(GROUP_ORDER) - 1 - np.argmax(groups[:, ::-1], axis=1)
+        for t in terms(build_house(1.0).features(), mimo_mrc_2x2(beta)):
+            unit[t.codim] += t.contribution(rho_grid)
+        # groups[codim, i, j]: the group at (L_grid[i], rho_grid[j]).
+        measure_power = 3 - np.arange(len(GROUP_ORDER))
+        scale = L_grid[None, :] ** measure_power[:, None]
+        groups = scale[:, :, None] * unit[:, None, :]
+    finite = np.isfinite(groups).all(axis=0)
+    if not finite.all():
+        first_row = finite[~finite.all(axis=1)][0]
+        raise _overflow(rho_grid[~first_row][0])
+    winner = _dominant_group(groups)
     return list(
         zip(
             rho_grid.tolist() * L_grid.size,

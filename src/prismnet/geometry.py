@@ -120,7 +120,6 @@ class BoundaryFeature:
 
     codim: int
     measure: float
-    solid_angle: float
     multiplicity: int = 1
     dihedral: float | None = None
     label: str = ""
@@ -131,6 +130,13 @@ class BoundaryFeature:
         if self.codim in (2, 3):
             if self.dihedral is None or not 0.0 < self.dihedral < np.pi:
                 raise GeometryError("edge/corner dihedral must lie in (0, pi)")
+
+    @property
+    def solid_angle(self) -> float:
+        """The domain's solid angle at the feature: 4 pi, 2 pi, 2 theta or theta by codim."""
+        if self.codim < 2:
+            return (4.0 * np.pi, 2.0 * np.pi)[self.codim]
+        return 2.0 * self.dihedral if self.codim == 2 else self.dihedral
 
 
 @dataclass(frozen=True)
@@ -224,18 +230,14 @@ def _inventory(volume: float, area: float, edges, corners) -> FeatureSet:
     """A domain's labelled FeatureSet from (dihedral, length, count) edge
     entries and (dihedral, count) corner entries; see ``_merge``."""
     return FeatureSet(
-        bulk=BoundaryFeature(codim=0, measure=volume, solid_angle=4.0 * np.pi, label="U"),
-        face=BoundaryFeature(codim=1, measure=area, solid_angle=2.0 * np.pi, label="F"),
+        bulk=BoundaryFeature(codim=0, measure=volume, label="U"),
+        face=BoundaryFeature(codim=1, measure=area, label="F"),
         edges=tuple(
-            BoundaryFeature(
-                codim=2, measure=m, solid_angle=2.0 * a, multiplicity=c, dihedral=a, label=lab
-            )
+            BoundaryFeature(codim=2, measure=m, multiplicity=c, dihedral=a, label=lab)
             for lab, a, m, c in _merge(edges, "E")
         ),
         corners=tuple(
-            BoundaryFeature(
-                codim=3, measure=1.0, solid_angle=a, multiplicity=c, dihedral=a, label=lab
-            )
+            BoundaryFeature(codim=3, measure=1.0, multiplicity=c, dihedral=a, label=lab)
             for lab, a, _, c in _merge(((a, 1.0, c) for a, c in corners), "C")
         ),
     )

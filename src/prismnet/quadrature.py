@@ -267,7 +267,7 @@ def validation_suite() -> list[ValidationRow]:
     Inner comparisons run across the (beta, theta) grid beta in {0.5, 1, 2},
     theta in {pi/3, pi/2, 3pi/4}; outer comparisons run at beta = 1 and
     rho = 1 against the analytic terms.  The wedge J-integrals of each beta
-    are integrated once and serve all its corner and edge rows.
+    are integrated once and serve all its corner, edge and bulk rows.
     """
     rows: list[ValidationRow] = []
     thetas = (np.pi / 3, np.pi / 2, 3 * np.pi / 4)
@@ -309,9 +309,8 @@ def validation_suite() -> list[ValidationRow]:
                 1e-4,
             )
         )
-        rows.append(
-            ValidationRow("inner_bulk", {"beta": beta}, bulk_mass(model), inner_bulk(model), 1e-8)
-        )
+        bulk = 4.0 * np.pi * corner_j[0]  # inner_bulk(model): J1 is its moment int s^2 H
+        rows.append(ValidationRow("inner_bulk", {"beta": beta}, bulk_mass(model), bulk, 1e-8))
 
     # Outer integrals at beta = 1: the closed-form term against quadrature
     # over the same feature.  The face is compared on a sphere large enough
@@ -321,13 +320,13 @@ def validation_suite() -> list[ValidationRow]:
     model = mimo_mrc_2x2(beta)
     outer = [
         ("outer_corner", {"beta": beta, "theta": theta, "rho": rho},
-         BoundaryFeature(codim=3, measure=1.0, solid_angle=theta, dihedral=theta), 1e-3),
+         BoundaryFeature(codim=3, measure=1.0, dihedral=theta), 1e-3),
         ("outer_edge", {"beta": beta, "theta": theta, "L": 5.0, "rho": rho},
-         BoundaryFeature(codim=2, measure=5.0, solid_angle=2 * theta, dihedral=theta), 1e-2),
+         BoundaryFeature(codim=2, measure=5.0, dihedral=theta), 1e-2),
         ("outer_face", {"beta": beta, "R": Rface, "rho": rho},
-         BoundaryFeature(codim=1, measure=4.0 * np.pi * Rface**2, solid_angle=2 * np.pi), 1e-3),
+         BoundaryFeature(codim=1, measure=4.0 * np.pi * Rface**2), 1e-3),
         ("outer_bulk", {"beta": beta, "V": V, "rho": rho},
-         BoundaryFeature(codim=0, measure=V, solid_angle=4 * np.pi), 1e-6),
+         BoundaryFeature(codim=0, measure=V), 1e-6),
     ]
     for kind, params, feature, tol in outer:
         closed = analytic.term(feature, model).outer_integral(rho)

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate
 
-from prismnet import analytic
+from prismnet import analytic, geometry
 from prismnet.analytic import (
     ClosedFormUnavailableError,
     GROUP_ORDER,
     assemble_pfc,
-    component_group_values,
     cone_shape_function,
     cone_term,
     corner_shape_function,
@@ -29,19 +28,19 @@ SQRT2 = math.sqrt(2.0)
 
 
 def corner(theta):
-    return BoundaryFeature(codim=3, measure=1.0, solid_angle=theta, dihedral=theta)
+    return BoundaryFeature(codim=3, measure=1.0, dihedral=theta)
 
 
 def edge(theta, L):
-    return BoundaryFeature(codim=2, measure=L, solid_angle=2.0 * theta, dihedral=theta)
+    return BoundaryFeature(codim=2, measure=L, dihedral=theta)
 
 
 def face(S):
-    return BoundaryFeature(codim=1, measure=S, solid_angle=2.0 * np.pi)
+    return BoundaryFeature(codim=1, measure=S)
 
 
 def bulk(V):
-    return BoundaryFeature(codim=0, measure=V, solid_angle=4.0 * np.pi)
+    return BoundaryFeature(codim=0, measure=V)
 
 
 def rotated_square_prism(degrees):
@@ -172,7 +171,7 @@ class TestAssembly:
         groups = b.group_values()
         assert_allclose(groups["C1"], 6.751543707973297e-3, rtol=1e-12)
         assert_allclose(groups["C2"], 6.48781366925445e-4, rtol=1e-12)
-        assert b.dominant == "C1"
+        assert b.dominant == "corner"
 
     def test_single_angle_class_collapses(self):
         from prismnet.geometry import Polygon2D, build_right_prism
@@ -250,20 +249,52 @@ class TestCone:
 class TestDominance:
     def test_phase_map_spot_checks(self):
         # Reference: the largest group value, ties toward higher codimension
-        # (later in GROUP_ORDER), from the scalar breakdown of each cell.
+        # (later in GROUP_ORDER), summed per codimension from the scalar
+        # breakdown of each cell.
         rhos = [0.5, 1.0, 2.0]
         lengths = [2.0, 5.0, 20.0]
         cells = phase_map(1.0, rhos, lengths)
         assert [(rho, L) for rho, L, _ in cells] == [(r, L) for L in lengths for r in rhos]
         labels = set()
         for rho, L, label in cells:
-            vals = component_group_values(
-                assemble_pfc(build_house(L).features(), mimo_mrc_2x2(1.0), rho)
-            )
+            b = assemble_pfc(build_house(L).features(), mimo_mrc_2x2(1.0), rho)
+            vals = dict.fromkeys(GROUP_ORDER, 0.0)
+            for t, value in zip(b.terms, b.values):
+                vals[GROUP_ORDER[t.codim]] += value
             want = max(reversed(GROUP_ORDER), key=vals.__getitem__)
-            assert label == want == phase_map(1.0, [rho], [L])[0][2]
+            assert label == want == b.dominant == phase_map(1.0, [rho], [L])[0][2]
             labels.add(label)
         assert len(labels) > 1
+
+    def test_dominant_agrees_with_phase_map(self):
+        # On the benchmark's phase-map grid, every cell's breakdown names
+        # the group the map gives it.
+        rhos = np.arange(0.1, 3.0 + 0.025, 0.05)
+        lengths = np.arange(1.0, 40.0 + 0.25, 0.5)
+        model = mimo_mrc_2x2(1.0)
+        cells = iter(phase_map(1.0, rhos, lengths))
+        for L in lengths:
+            feats = build_house(L).features()
+            for rho in rhos:
+                cell_rho, cell_L, label = next(cells)
+                assert (cell_rho, cell_L) == (rho, L)
+                assert assemble_pfc(feats, model, rho).dominant == label, (rho, L)
+
+    def test_phase_map_builds_fixed_number_of_houses(self, monkeypatch):
+        # One unit house and the two range checks, whatever the grid.
+        built = []
+        init = geometry.House.__init__
+
+        def counted(self, L):
+            built.append(L)
+            init(self, L)
+
+        monkeypatch.setattr(geometry.House, "__init__", counted)
+        phase_map(1.0, [0.5, 1.0], [5.0])
+        few = len(built)
+        built.clear()
+        phase_map(1.0, np.arange(0.1, 3.0 + 0.025, 0.05), np.arange(1.0, 40.0 + 0.25, 0.5))
+        assert len(built) == few <= 3
 
     def test_band_order_along_density_ray(self):
         # Dominant labels along increasing rho form a subsequence of
@@ -286,8 +317,7 @@ class TestDominance:
 
     def test_group_values_sum(self):
         b = assemble_pfc(build_house(5.0).features(), mimo_mrc_2x2(1.0), 1.0)
-        vals = component_group_values(b)
-        assert_allclose(sum(vals.values()), b.p_out_raw, rtol=1e-12)
+        assert_allclose(sum(b.group_values().values()), b.p_out_raw, rtol=1e-12)
 
     def test_phase_map_rejects_bad_grids(self):
         with pytest.raises(ValueError):

@@ -107,6 +107,11 @@ BAD_INPUTS = [
      "too small"),
     ("half-cylinder-r-1e-200", ("analytic", "simulate"),
      {"--domain": '{"kind":"half_cylinder","r":1e-200,"h":1}'}, None, "too small"),
+    ("phase-map-L-1e120", ("phase-map",), {"--length-list": "1e120"}, None, "too large"),
+    ("phase-map-L-1e-200", ("phase-map",), {"--length-list": "1e-200"}, None, "too small"),
+    # A density whose closed form overflows (exit 3 alone) does not hide a bad L.
+    ("phase-map-L-before-overflow", ("phase-map",),
+     {"--rho-list": "1e-300", "--length-list": "1e120"}, None, "too large"),
 ]
 
 
@@ -396,6 +401,7 @@ class TestConfigAndErrors:
         )
         assert_one_line_config_error(res)
         assert "closed-form" in res.output
+        assert "prismnet.quadrature.outer_integral" in res.output
 
     @pytest.mark.parametrize("flag", ["--domain", "--model", "--config"])
     def test_missing_file_exit_2(self, runner, tmp_path, flag):

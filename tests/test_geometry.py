@@ -255,6 +255,20 @@ class TestHalfCylinderProperties:
         assert all(c.dihedral == 0.5 * np.pi for c in f.corners)
 
 
+class TestHouseProperties:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(L=st.floats(1e-3, 1e3))
+    def test_features_scale_from_the_unit_house(self, L):
+        # phase_map evaluates the unit house and scales its measures by L^(3 - codim).
+        unit = build_house(1.0).features().all_features()
+        scaled = build_house(L).features().all_features()
+        assert [(f.codim, f.label, f.multiplicity, f.dihedral) for f in scaled] == [
+            (u.codim, u.label, u.multiplicity, u.dihedral) for u in unit
+        ]
+        for f, u in zip(scaled, unit):
+            assert_allclose(f.measure, L ** (3 - f.codim) * u.measure, rtol=1e-12, atol=0)
+
+
 class TestSpecs:
     def test_round_trip(self):
         for spec in (
@@ -316,7 +330,7 @@ class TestSpecs:
             with pytest.raises(GeometryError, match="too large"):
                 build()
         with pytest.raises(GeometryError, match="finite"):
-            BoundaryFeature(codim=0, measure=math.inf, solid_angle=4 * np.pi)
+            BoundaryFeature(codim=0, measure=math.inf)
 
     @pytest.mark.parametrize(
         "spec, field",

@@ -119,7 +119,7 @@ class TestInnerIntegrals:
 class TestOuterIntegrals:
     def test_corner(self):
         m = mimo_mrc_2x2(1.0)
-        f = BoundaryFeature(codim=3, measure=1.0, solid_angle=np.pi / 2, dihedral=np.pi / 2)
+        f = BoundaryFeature(codim=3, measure=1.0, dihedral=np.pi / 2)
         assert_allclose(
             outer_integral(f, m, 1.0),
             analytic.term(f, m).outer_integral(1.0),
@@ -128,7 +128,7 @@ class TestOuterIntegrals:
 
     def test_edge(self):
         m = mimo_mrc_2x2(1.0)
-        f = BoundaryFeature(codim=2, measure=5.0, solid_angle=np.pi, dihedral=np.pi / 2)
+        f = BoundaryFeature(codim=2, measure=5.0, dihedral=np.pi / 2)
         assert_allclose(
             outer_integral(f, m, 1.0),
             analytic.term(f, m).outer_integral(1.0),
@@ -137,7 +137,7 @@ class TestOuterIntegrals:
 
     def test_bulk(self):
         m = mimo_mrc_2x2(1.0)
-        f = BoundaryFeature(codim=0, measure=156.25, solid_angle=4 * np.pi)
+        f = BoundaryFeature(codim=0, measure=156.25)
         assert_allclose(
             outer_integral(f, m, 1.0),
             analytic.term(f, m).outer_integral(1.0),
@@ -148,23 +148,23 @@ class TestOuterIntegrals:
         m = mimo_mrc_2x2(1.0)
         R = 1e5
         S = 4 * np.pi * R * R
-        f = BoundaryFeature(codim=1, measure=S, solid_angle=2 * np.pi)
+        f = BoundaryFeature(codim=1, measure=S)
         assert_allclose(
             outer_integral(f, m, 1.0), analytic.term(f, m).outer_integral(1.0), rtol=1e-3
         )
 
     def test_hard_disk_bulk(self):
         m = hard_disk(1.0)
-        f = BoundaryFeature(codim=0, measure=10.0, solid_angle=4 * np.pi)
+        f = BoundaryFeature(codim=0, measure=10.0)
         expected = 10.0 * math.exp(-4.0 / 3.0 * np.pi)
         assert_allclose(outer_integral(f, m, 1.0), expected, rtol=1e-8)
 
     @pytest.mark.parametrize(
         "feature",
         [
-            BoundaryFeature(codim=1, measure=100.0, solid_angle=2 * np.pi),
-            BoundaryFeature(codim=2, measure=5.0, solid_angle=np.pi, dihedral=np.pi / 2),
-            BoundaryFeature(codim=3, measure=1.0, solid_angle=np.pi / 2, dihedral=np.pi / 2),
+            BoundaryFeature(codim=1, measure=100.0),
+            BoundaryFeature(codim=2, measure=5.0, dihedral=np.pi / 2),
+            BoundaryFeature(codim=3, measure=1.0, dihedral=np.pi / 2),
         ],
         ids=["face", "edge", "corner"],
     )
@@ -174,7 +174,7 @@ class TestOuterIntegrals:
 
     def test_rejects_bad_density(self):
         m = mimo_mrc_2x2(1.0)
-        f = BoundaryFeature(codim=0, measure=1.0, solid_angle=4 * np.pi)
+        f = BoundaryFeature(codim=0, measure=1.0)
         for rho in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 outer_integral(f, m, rho)
@@ -209,8 +209,8 @@ class TestValidationSuite:
         assert failing == []
 
     def test_wedge_integrals_once_per_beta(self, monkeypatch):
-        # One J triple per beta serves its corner and edge rows; the outer
-        # corner and edge rows integrate their own.
+        # One J triple per beta serves its corner, edge and bulk rows; the
+        # outer corner and edge rows integrate their own.
         calls = []
         wedge = quadrature._wedge_j_integrals
 
@@ -228,6 +228,10 @@ class TestValidationSuite:
             model = mimo_mrc_2x2(p.pop("beta"))
             public = inner_corner if r.kind == "inner_corner" else inner_edge
             assert r.quadrature == public(model=model, **p), (r.kind, r.params)
+        bulk = [r for r in rows if r.kind == "inner_bulk"]
+        assert [r.params["beta"] for r in bulk] == list(BETAS)
+        for r in bulk:
+            assert r.quadrature == inner_bulk(mimo_mrc_2x2(r.params["beta"])), r.params
 
 
 # Reference forms for the radial reductions: the wedge J-integrals as 2-D
