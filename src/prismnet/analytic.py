@@ -8,10 +8,11 @@ network outage probability in the dense regime.  A term has the form
 
 where l is the feature codimension and, for every codimension,
 rate = feature.solid_angle / (4 pi) * bulk_mass(model).  ``prefactor``
-collects the geometrical factor and the feature measure.  Closed-form
-prefactors exist only for the 2x2 MIMO MRC family with path-loss exponent
-2; for other models ``quadrature.outer_integral`` evaluates each feature's
-term numerically.
+collects the geometrical factor and the feature measure.  The link model
+enters only through the two full-space masses of ``channel``: the rate
+through bulk_mass M, the prefactor through face_mass A, the slope of a
+node's link mass with its depth below a face.  So one formula serves every
+link model with a differentiable H; the hard disk has no boundary terms.
 
 The full-connectivity probability is P_fc = 1 - sum of contributions.
 """
@@ -24,30 +25,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import InputError
-from .channel import MIMO_MRC_2X2, ConnectivityModel, bulk_mass, mimo_mrc_2x2
+from .channel import ConnectivityModel, bulk_mass, face_mass, mimo_mrc_2x2
 from .geometry import BoundaryFeature, FeatureSet, build_house
 
 # Guard below the theta = pi degeneracy, where a corner flattens into an
 # edge and csc(theta) blows up.
 THETA_EPS = 1e-6
 
-# sqrt(beta) * typical-length threshold below which the first-order
+# Typical length over the link range r0 below which the first-order
 # expansion is flagged as unreliable.
 VALIDITY_SCALE = 5.0
 
 
 class ClosedFormUnavailableError(InputError):
-    """Requested closed-form terms for a model family or angle that has none."""
+    """Requested closed-form terms for a model or angle that has none."""
 
 
-def _require_mimo(model: ConnectivityModel):
-    # ConnectivityModel fixes eta = 2 for this family.
-    if model.family != MIMO_MRC_2X2:
+def _boundary_mass(model: ConnectivityModel) -> float:
+    """face_mass(model), for a model whose boundary terms exist."""
+    if not model.smooth:
         raise ClosedFormUnavailableError(
-            f"closed-form boundary terms exist only for {MIMO_MRC_2X2} with eta=2; "
-            f"got {model.family}; for other models use prismnet.quadrature.outer_integral "
-            "per feature (library only)"
+            f"no closed-form boundary terms for {model.family}: they need a differentiable H"
         )
+    return face_mass(model)
+
+
+def _corner_scale(theta: float, A: float) -> float:
+    """The corner and cone prefactor over their shape function: 32 pi^2 / (theta A^3)."""
+    return 32.0 * np.pi**2 / (theta * A**3)
 
 
 def _check_theta(theta: float):
@@ -82,22 +87,22 @@ class ContributionTerm:
 def term(feature: BoundaryFeature, model: ConnectivityModel) -> ContributionTerm:
     """Closed-form outage term of one boundary feature group, under the feature's label.
 
-    Prefactors by codimension, with the feature measure V, S or L: bulk V;
-    face 2 beta S / (7 pi); edge 16 L beta^2 / (49 pi^2 sin theta); corner
-    256 beta^3 / (343 pi^2 theta sin theta), with theta the dihedral angle.
+    Prefactors by codimension, with the feature measure V, S or L, theta the
+    dihedral angle and A = face_mass(model): bulk V; face S / A; edge
+    4 L / (A^2 sin theta); corner 32 pi^2 / (theta A^3) *
+    corner_shape_function(theta) = 32 pi / (A^3 theta sin theta).
     """
-    _require_mimo(model)
-    beta, theta = model.beta, feature.dihedral
+    theta = feature.dihedral
     if feature.codim >= 2:
         _check_theta(theta)
     if feature.codim == 0:
         pref = feature.measure
     elif feature.codim == 1:
-        pref = 2.0 * beta * feature.measure / (7.0 * np.pi)
+        pref = feature.measure / _boundary_mass(model)
     elif feature.codim == 2:
-        pref = 16.0 * feature.measure * beta**2 / (49.0 * np.pi**2 * math.sin(theta))
+        pref = 4.0 * feature.measure / (_boundary_mass(model) ** 2 * math.sin(theta))
     else:
-        pref = 256.0 * beta**3 / (343.0 * np.pi**2 * theta * math.sin(theta))
+        pref = _corner_scale(theta, _boundary_mass(model)) * corner_shape_function(theta)
     rate = feature.solid_angle / (4.0 * np.pi) * bulk_mass(model)
     return ContributionTerm(feature.label, feature.codim, pref, rate, feature.multiplicity)
 
@@ -113,10 +118,9 @@ def cone_term(theta: float, model: ConnectivityModel) -> ContributionTerm:
     Shares the corner exponent exactly; the prefactor differs because a cone
     is only a rough local stand-in for a three-plane corner.
     """
-    _require_mimo(model)
     if not 0.0 < theta < 2.0 * np.pi:
         raise ValueError("cone solid angle must lie in (0, 2 pi)")
-    pref = 256.0 * model.beta**3 / (343.0 * np.pi * theta) * cone_shape_function(theta)
+    pref = _corner_scale(theta, _boundary_mass(model)) * cone_shape_function(theta)
     return ContributionTerm("K", 3, pref, theta / (4.0 * np.pi) * bulk_mass(model))
 
 
@@ -202,14 +206,15 @@ def assemble_pfc(features: FeatureSet, model: ConnectivityModel, rho: float) -> 
     if not math.isfinite(p_out_raw):
         raise _overflow(rho)
     char_length = features.bulk.measure ** (1.0 / 3.0)
-    valid = p_out_raw <= 1.0 and math.sqrt(model.beta) * char_length >= VALIDITY_SCALE
+    valid = p_out_raw <= 1.0 and char_length / model.r0 >= VALIDITY_SCALE
     return PfcBreakdown(domain_terms, values, float(rho), p_out_raw, valid)
 
 
 def phase_map(beta: float, rho_grid, L_grid) -> list[tuple[float, float, str]]:
     """Dominant group (as ``PfcBreakdown.dominant``) of the house at each (rho, L)
-    cell, row-major in L then rho.  A house of side L has the unit house's angles
-    and L^(3 - codim) times its measures, so the unit house's groups are scaled."""
+    cell, row-major in L then rho, for the ``mimo_mrc_2x2(beta)`` link.  A house
+    of side L has the unit house's angles and L^(3 - codim) times its measures,
+    so the unit house's groups are scaled."""
     rho_grid = np.asarray(rho_grid, dtype=float)
     L_grid = np.asarray(L_grid, dtype=float)
     if rho_grid.size == 0 or L_grid.size == 0:

@@ -167,6 +167,21 @@ def bulk_mass(model: ConnectivityModel) -> float:
     return 4.0 / 3.0 * np.pi * model.r0**3
 
 
+def face_mass(model: ConnectivityModel) -> float:
+    """Connection mass of the plane through a node, A = 2 pi * int_0^inf r H(r) dr.
+
+    A node at depth d below a flat face has link mass M/2 + A d to first
+    order, so A sets every boundary term's prefactor.
+    """
+    b = model.beta
+    if model.family == MIMO_MRC_2X2:
+        return 3.5 * np.pi / b
+    if model.family == RAYLEIGH:
+        # 2 pi / eta * Gamma(2/eta) * beta^(-2/eta).
+        return 2.0 * np.pi / model.eta * math.gamma(2.0 / model.eta) * b ** (-2.0 / model.eta)
+    return np.pi * model.r0**2
+
+
 # The fields each family's spec may hold.
 _MODEL_FIELDS = {
     MIMO_MRC_2X2: {"family", "beta", "eta"},

@@ -216,7 +216,7 @@ def _merge(entries, prefix: str) -> list[tuple]:
         for g in groups:
             if abs(g[0] - ang) <= ANGLE_TOL:
                 ang = g[0]
-                if abs(g[1] - measure) <= ANGLE_TOL * max(1.0, measure):
+                if abs(g[1] - measure) <= ANGLE_TOL * measure:
                     g[2] += cnt
                     break
         else:

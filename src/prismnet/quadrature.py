@@ -4,8 +4,9 @@ Every closed-form boundary term rests on two steps: a first-order expansion
 of the link mass integral near a boundary feature (the "inner" integral),
 and an outer integral of exp(-rho * inner) over the feature's local
 coordinate patch.  This module evaluates both steps by adaptive quadrature
-so the closed forms can be validated independently, and so models without
-registered closed forms can still be evaluated.
+so the closed forms can be validated independently: ``analytic`` writes
+every smooth model's terms in two full-space masses, while this module
+integrates H and H' with none of that algebra.
 
 Every inner integral is one radial quadrature of H or H' against a
 polynomial weight: the angular and chord coordinates of the wedge, face and
@@ -209,10 +210,12 @@ def inner_bulk(model: ConnectivityModel) -> float:
 def outer_integral(feature: BoundaryFeature, model: ConnectivityModel, rho: float) -> float:
     """Outer integral of exp(-rho * inner mass) over one feature patch.
 
-    This is the generic-model route to a boundary term: no closed-form
-    algebra enters, only the numeric inner coefficients.  The result is the
-    per-feature outer integral (multiply by rho and the multiplicity for
-    the outage contribution).
+    This is the oracle for ``analytic.term(feature, model).outer_integral``:
+    no closed-form algebra enters, only the numeric inner coefficients.  A
+    face is integrated over the sphere of its area, so it matches the flat
+    closed form only as that sphere grows.  The result is the per-feature
+    outer integral (multiply by rho and the multiplicity for the outage
+    contribution).
     """
     if not (math.isfinite(rho) and rho > 0):
         raise ValueError("density must be positive and finite")

@@ -138,16 +138,13 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial_index]))
 
 
-def run_trial(
-    config: SimConfig, trial_index: int, d2: np.ndarray
-) -> tuple[np.ndarray, np.random.Generator]:
+def run_trial(config: SimConfig, trial_index: int, d2: np.ndarray) -> np.random.Generator:
     """Start trial ``trial_index``: sample its nodes and write their squared
-    pair distances, in pair order, into ``d2``.  Returns the positions and
-    the trial's generator, from which the kernel draws the pair uniforms."""
+    pair distances, in pair order, into ``d2``.  Returns the trial's
+    generator, from which the kernel draws the pair uniforms."""
     rng = trial_rng(config.seed, trial_index)
-    pos = config.domain.sample(config.n, rng)
-    pdist(pos, "sqeuclidean", out=d2)
-    return pos, rng
+    pdist(config.domain.sample(config.n, rng), "sqeuclidean", out=d2)
+    return rng
 
 
 def trial_outcomes(
@@ -160,7 +157,7 @@ def trial_outcomes(
         # The batch's generators live only as long as the kernel call.
         trials = range(first, min(first + ws.trials, stop))
         yield _kernel.pair_graph_stats(
-            [run_trial(config, t, ws.slot(t - first))[1] for t in trials], config.model, ws
+            [run_trial(config, t, ws.slot(t - first)) for t in trials], config.model, ws
         )
 
 

@@ -21,7 +21,7 @@ from prismnet.analytic import (
     term,
     terms,
 )
-from prismnet.channel import bulk_mass, h, mimo_mrc_2x2, rayleigh
+from prismnet.channel import bulk_mass, face_mass, h, hard_disk, mimo_mrc_2x2, rayleigh
 from prismnet.geometry import BoundaryFeature, Polygon2D, build_house, build_right_prism
 
 SQRT2 = math.sqrt(2.0)
@@ -104,7 +104,7 @@ class TestTerms:
 
     @pytest.mark.parametrize(
         "degrees, total", [(0, "0x1.4fc1672c27917p-7"), (10, "0x1.4fc1672c27917p-7"),
-                           (30, "0x1.4fc1672c27914p-7")]
+                           (30, "0x1.4fc1672c27915p-7")]
     )
     def test_right_angle_class_gets_one_label(self, degrees, total):
         # The vertex angles lie within an ulp of the cap edges' 0.5 pi, and at
@@ -115,6 +115,34 @@ class TestTerms:
         assert [t.label for t in b.terms] == ["U", "F", "E", "E", "C"]
         # The total is the one the unmerged angles gave, bit for bit.
         assert b.p_out_raw == float.fromhex(total)
+        # Prefactors written in beta powers (2 beta / (7 pi), ...) round to
+        # these totals.
+        beta_powers = {0: "0x1.4fc1672c27917p-7", 10: "0x1.4fc1672c27917p-7",
+                       30: "0x1.4fc1672c27914p-7"}
+        assert_allclose(b.p_out_raw, float.fromhex(beta_powers[degrees]), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("eta", [2.0, 3.0])
+    def test_prefactors_from_face_mass(self, eta):
+        # A = face_mass enters as S / A, 4 L / (A^2 sin), 32 pi / (A^3 theta sin);
+        # the MIMO cases above are A = 7 pi / (2 beta).
+        m = rayleigh(0.7, eta)
+        A = face_mass(m)
+        assert_allclose(term(face(10.0), m).prefactor, 10.0 / A, rtol=1e-15)
+        for theta in (np.pi / 3, np.pi / 2, 2.0):
+            s = math.sin(theta)
+            assert_allclose(term(edge(theta, 3.0), m).prefactor, 12.0 / (A**2 * s), rtol=1e-14)
+            assert_allclose(
+                term(corner(theta), m).prefactor, 32.0 * np.pi / (A**3 * theta * s), rtol=1e-14
+            )
+
+    def test_hard_disk_has_no_boundary_terms(self):
+        m = hard_disk(1.0)
+        assert term(bulk(4.0), m).prefactor == 4.0
+        for feature in (face(1.0), edge(np.pi / 2, 1.0), corner(np.pi / 2)):
+            with pytest.raises(ClosedFormUnavailableError, match="differentiable H"):
+                term(feature, m)
+        with pytest.raises(ClosedFormUnavailableError, match="differentiable H"):
+            cone_term(np.pi / 2, m)
 
 
 def assert_numbered_by_angle(labelled, prefix):
@@ -188,19 +216,26 @@ class TestAssembly:
         assert not b.valid
 
     def test_validity_flag_scale(self):
-        # sqrt(beta) * V^(1/3) below threshold -> flagged invalid.
+        # V^(1/3) / r0 below threshold -> flagged invalid.
         b = assemble_pfc(build_house(1.0).features(), mimo_mrc_2x2(1.0), 50.0)
         assert not b.valid
         b5 = assemble_pfc(build_house(5.0).features(), mimo_mrc_2x2(1.0), 2.0)
         assert b5.valid
+        # The house of side 5 has V^(1/3) = 5.386; rayleigh(1, 3) has r0 = 1.
+        for beta, valid in ((1.0, True), (0.5, False)):
+            b = assemble_pfc(build_house(5.0).features(), rayleigh(beta, 3.0), 6.0)
+            assert not b.clamped
+            assert b.valid is valid
 
     def test_high_density_limit(self):
         b = assemble_pfc(build_house(5.0).features(), mimo_mrc_2x2(1.0), 50.0)
         assert b.p_fc == pytest.approx(1.0, abs=1e-12)
 
     def test_non_mimo_rejected(self):
+        # Every smooth family has boundary terms; the hard disk has none.
+        assert assemble_pfc(build_house(5.0).features(), rayleigh(1.0), 1.0).p_out_raw > 0
         with pytest.raises(ClosedFormUnavailableError):
-            assemble_pfc(build_house(5.0).features(), rayleigh(1.0), 1.0)
+            assemble_pfc(build_house(5.0).features(), hard_disk(1.0), 1.0)
 
     @pytest.mark.parametrize("rho", [0.0, math.nan, math.inf])
     def test_bad_density_rejected(self, rho):

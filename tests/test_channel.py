@@ -10,6 +10,7 @@ from scipy import integrate
 from prismnet.channel import (
     ModelError,
     bulk_mass,
+    face_mass,
     h,
     h_of_d2,
     h_prime,
@@ -94,6 +95,23 @@ class TestHardDisk:
     def test_not_smooth(self):
         with pytest.raises(ModelError):
             h_prime(hard_disk(1.0), 0.5)
+
+
+class TestFaceMass:
+    @pytest.mark.parametrize(
+        "model",
+        [mimo_mrc_2x2(0.5), mimo_mrc_2x2(1.0), mimo_mrc_2x2(2.0), rayleigh(1.0, 2.0),
+         rayleigh(1.0, 3.0), rayleigh(0.5, 4.0), hard_disk(1.3)],
+        ids=lambda m: f"{m.family}-{m.beta:g}-{m.eta:g}",
+    )
+    def test_matches_quadrature(self, model):
+        # 2 pi int_0^inf r H(r) dr; H is below 1e-300 beyond 30 r0 for every
+        # smooth family here, and the hard disk's step lies at r0.
+        num, _ = integrate.quad(
+            lambda r: 2 * np.pi * r * h(model, r), 0, 30 * model.r0, points=[model.r0],
+            epsabs=0, epsrel=1e-13, limit=200,
+        )
+        assert_allclose(face_mass(model), num, rtol=1e-12)
 
 
 class TestSampling:

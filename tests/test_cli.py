@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from prismnet import analytic
-from prismnet.channel import mimo_mrc_2x2
+from prismnet.channel import mimo_mrc_2x2, rayleigh
 from prismnet.cli import main
 from prismnet.geometry import build_house
 
@@ -79,6 +79,9 @@ BAD_INPUTS = [
      None, "unknown field(s): r0"),
     ("hard-disk-r0-tiny", SIM_COMMANDS, {"--model": '{"family":"hard_disk","r0":1e-200}'}, None,
      "too small"),
+    # A hard disk has no boundary terms, so compare stops before it simulates.
+    ("hard-disk-boundary-terms", ("compare",), {"--model": '{"family":"hard_disk","r0":1}'}, None,
+     "need a differentiable H"),
     # A strictly convex base whose vertex angle at (1, 0) is pi - 1e-9: valid
     # geometry, but the closed form diverges there.
     ("vertex-angle-near-pi", ("analytic", "compare"),
@@ -252,6 +255,36 @@ class TestAnalytic:
         assert res.exit_code == 0
 
 
+class TestRayleigh:
+    """Closed forms of a smooth link family other than MIMO."""
+
+    MODEL = '{"family":"rayleigh","beta":1.0,"eta":3.0}'
+
+    def test_analytic(self, runner, tmp_path):
+        res = runner.invoke(
+            main,
+            ["analytic", "--domain", HOUSE, "--model", self.MODEL, "--rho-list", "4,6",
+             "--out", str(tmp_path)],
+        )
+        assert res.exit_code == 0, res.output
+        header, rows = read_csv(tmp_path / "analytic_components.csv")
+        feats = build_house(5.0).features()
+        for row, rho in zip(rows, (4.0, 6.0)):
+            b = analytic.assemble_pfc(feats, rayleigh(1.0, 3.0), rho)
+            assert float(row[header.index("total")]) == b.p_out_raw
+
+    def test_compare(self, runner, tmp_path):
+        res = runner.invoke(
+            main,
+            ["compare", "--domain", '{"kind":"house","L":2.0}', "--model", self.MODEL,
+             "--rho-list", "4", "--trials", "20", "--threads", "1", "--out", str(tmp_path)],
+        )
+        assert res.exit_code == 0, res.output
+        header, rows = read_csv(tmp_path / "compare.csv")
+        b = analytic.assemble_pfc(build_house(2.0).features(), rayleigh(1.0, 3.0), 4.0)
+        assert float(rows[0][header.index("p_out_analytic")]) == b.p_out_raw
+
+
 class TestSimulate:
     def test_sweep_csv(self, runner, tmp_path):
         res = runner.invoke(
@@ -396,12 +429,12 @@ class TestConfigAndErrors:
     def test_model_without_closed_form_exit_2(self, runner, tmp_path):
         res = runner.invoke(
             main,
-            ["analytic", "--domain", HOUSE, "--model", '{"family":"rayleigh","beta":1.0}',
+            ["analytic", "--domain", HOUSE, "--model", '{"family":"hard_disk","r0":1.0}',
              "--rho-list", "1.0", "--out", str(tmp_path)],
         )
         assert_one_line_config_error(res)
-        assert "closed-form" in res.output
-        assert "prismnet.quadrature.outer_integral" in res.output
+        assert "no closed-form boundary terms for hard_disk" in res.output
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag", ["--domain", "--model", "--config"])
     def test_missing_file_exit_2(self, runner, tmp_path, flag):

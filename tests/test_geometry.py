@@ -257,7 +257,7 @@ class TestHalfCylinderProperties:
 
 class TestHouseProperties:
     @settings(max_examples=60, deadline=None, database=None)
-    @given(L=st.floats(1e-3, 1e3))
+    @given(L=st.floats(-100.0, 100.0).map(lambda e: 10.0**e))
     def test_features_scale_from_the_unit_house(self, L):
         # phase_map evaluates the unit house and scales its measures by L^(3 - codim).
         unit = build_house(1.0).features().all_features()
@@ -267,6 +267,13 @@ class TestHouseProperties:
         ]
         for f, u in zip(scaled, unit):
             assert_allclose(f.measure, L ** (3 - f.codim) * u.measure, rtol=1e-12, atol=0)
+
+    def test_tiny_house_keeps_its_edge_lengths_apart(self):
+        # 9 edges of length L and 4 of L / sqrt(2) share the right angle;
+        # lengths are told apart relative to their size, at any scale.
+        edges = build_house(1e-9).features().edges
+        assert [(e.label, e.multiplicity) for e in edges] == [("E1", 4), ("E1", 9), ("E2", 2)]
+        assert_allclose([e.measure for e in edges], [1e-9 / math.sqrt(2), 1e-9, 1e-9], rtol=1e-15)
 
 
 class TestSpecs:

@@ -39,7 +39,8 @@ def test_cli_import_loads_no_scipy():
     "argv, output",
     [
         (["analytic", "--domain", '{"kind":"house","L":5}',
-          "--model", '{"family":"mimo_mrc_2x2","beta":1}', "--rho-list", "0.5,1", "--plot"],
+          "--model", '{"family":"rayleigh","beta":1,"eta":3}', "--rho-list", "4,6",
+          "--plot"],
          "analytic_components.csv"),
         (["phase-map", "--rho-list", "0.5,1", "--length-list", "3,5", "--plot"], "phase_map.csv"),
     ],

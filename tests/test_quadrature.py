@@ -17,7 +17,7 @@ from prismnet.channel import (
     mimo_mrc_2x2,
     rayleigh,
 )
-from prismnet.geometry import BoundaryFeature
+from prismnet.geometry import BoundaryFeature, build_house
 from prismnet.quadrature import (
     QuadratureError,
     _edge_j,
@@ -151,6 +151,24 @@ class TestOuterIntegrals:
         f = BoundaryFeature(codim=1, measure=S)
         assert_allclose(
             outer_integral(f, m, 1.0), analytic.term(f, m).outer_integral(1.0), rtol=1e-3
+        )
+
+    @pytest.mark.parametrize("eta", [2.0, 3.0])
+    @pytest.mark.parametrize("rho", [1.0, 4.0])
+    def test_rayleigh_terms(self, eta, rho):
+        # analytic.term writes every boundary term in bulk_mass and
+        # face_mass; the oracle integrates H and H' on its own.
+        m = rayleigh(1.0, eta)
+        for f in build_house(5.0).features().all_features():
+            if f.codim != 1:
+                assert_allclose(
+                    analytic.term(f, m).outer_integral(rho), outer_integral(f, m, rho),
+                    rtol=1e-12,
+                )
+        R = 1e5
+        f = BoundaryFeature(codim=1, measure=4 * np.pi * R * R)
+        assert_allclose(
+            analytic.term(f, m).outer_integral(rho), outer_integral(f, m, rho), rtol=1e-3
         )
 
     def test_hard_disk_bulk(self):

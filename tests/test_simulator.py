@@ -64,7 +64,7 @@ def one_by_one(cfg, start, stop):
     ws = _kernel.Workspace(cfg.n, 1)
     got = []
     for t in range(start, stop):
-        rng = run_trial(cfg, t, ws.slot(0))[1]
+        rng = run_trial(cfg, t, ws.slot(0))
         connected, min_degree = _kernel.pair_graph_stats([rng], cfg.model, ws)
         got.append((bool(connected[0]), int(min_degree[0])))
     return got
@@ -189,7 +189,7 @@ class TestKernelExactness:
             assert cfg.n == n
             trials = _kernel.batch_trials(n)
             ws = _kernel.Workspace(n, trials)
-            rngs = [run_trial(cfg, t, ws.slot(t))[1] for t in range(trials)]
+            rngs = [run_trial(cfg, t, ws.slot(t)) for t in range(trials)]
             _kernel.pair_graph_stats(rngs, cfg.model, ws)
             for t, rng in enumerate(rngs):
                 twin = trial_rng(cfg.seed, t)
@@ -204,7 +204,7 @@ class TestKernelExactness:
         for model in (mimo_mrc_2x2(1.0), rayleigh(1.0, 3.0), hard_disk(1.2)):
             cfg = SimConfig(domain=d, model=model, trials=1, rho=0.3)
             for t in range(6):
-                rng = run_trial(cfg, t, ws.slot(0))[1]
+                rng = run_trial(cfg, t, ws.slot(0))
                 connected, min_degree = _kernel.pair_graph_stats([rng], model, ws)
                 assert [(bool(connected[0]), int(min_degree[0]))] == one_by_one(cfg, t, t + 1)
 
