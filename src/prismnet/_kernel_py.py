@@ -42,8 +42,8 @@ class Workspace:
     """Reusable buffers for batches of up to ``trials`` trials of n nodes.
 
     ``d2`` holds the squared distances of all the batch's pairs, trial t's
-    in ``slot(t)``, and once the links are found its bytes hold the
-    search's flags; ``u``, ``h``, ``scratch`` and ``link`` hold one block
+    in ``slot(t)``, and once the links are found its bytes hold their
+    columns as intp; ``u``, ``h``, ``scratch`` and ``link`` hold one block
     of pair uniforms, H, its intermediate and the link test.  Row r of the
     batch is row r mod (n-1) of trial r // (n-1): ``starts[r]`` is the batch
     pair where it begins (and ``starts[-1]`` is the batch's pair count),
@@ -78,27 +78,29 @@ class Workspace:
 
 
 # The link arrays peak at four index arrays' worth of one entry per link:
-# the rows i and columns j (j is built in the link indices' place), and
-# besides them one of these: the repeated row shifts that turn the link
-# indices into j; the intp copy of int32 i or j that bincount and take make;
-# the search's crossing links (intp) and the ends taken from them, which
-# cross fewer than half the pairs.  Joining the per-block link indices holds
+# the rows i and the link indices k, and besides them one of these: the
+# repeated row shifts that turn k into the columns j; the search's two flags
+# per link, its crossing links (intp) and the ends taken from them, which
+# cross fewer than half the pairs.  j is then copied as intp into the spent
+# squared distances and k freed.  Joining the per-block link indices holds
 # two.
 LINK_ARRAYS = 4
 # A block's u, h, scratch and link test, and the intp indices of its links.
 BLOCK_BYTES = 8 + 8 + 8 + 1 + 8
 # Per trial: its generator, about 950 bytes by tracemalloc's count, and its
-# share of the batch's bookkeeping.  Per node: the row tables, the degree
-# counts and reach flags, and the temporaries that build them.
+# share of the batch's bookkeeping, the sampler's included.  Per node: its
+# position (24 bytes) and the uniforms that sample it (up to 32), the row
+# tables, the degree counts, reach flags and the search's intp rows, and
+# the temporaries that build them.
 TRIAL_BYTES = 2048
-NODE_BYTES = 64
+NODE_BYTES = 120
 
 
 def workspace_bytes(n) -> float:
     """Peak bytes of a batch of trials of n nodes when every pair links: a
     full ``Workspace``'s squared distances and block buffers, the link
     arrays (4-byte indices while the batch's pairs fit in int32), and the
-    trials' generators and node arrays."""
+    trials' generators, positions and node arrays."""
     trials = batch_trials(n)
     pairs = 0.5 * n * (n - 1) * trials
     index = 4.0 if pairs < 2**31 else 8.0
@@ -131,24 +133,26 @@ def _links(rngs, model: ConnectivityModel, ws: Workspace) -> np.ndarray:
     return np.concatenate(found)
 
 
-def _reached(m: int, seeds: np.ndarray, i: np.ndarray, j: np.ndarray, flags) -> np.ndarray:
+def _reached(m: int, seeds, rows, per_row, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Which of the m nodes the links (i[l], j[l]) connect to a seed.
 
-    Grows the set reached from the seeds by both ends of every link that
-    crosses its boundary, until no link does.  ``flags``, a bool array of at
-    least 2 len(i) entries, holds whether each link end is reached, so an
-    iteration allocates only the crossing links and, for int32 links, the
-    intp copy of i or j that take makes.
+    The links come in row order: ``per_row[r]`` of them start at node
+    ``rows[r]``.  Grows the set reached from the seeds by both ends of every
+    link that crosses its boundary, until no link does.  Each link's start
+    is looked up once per row and repeated over the row's links, and its end
+    j is an intp, so no take casts int32 indices; an iteration allocates
+    only the start flags and the crossing links.
     """
     seen = np.zeros(m, dtype=bool)
     seen[seeds] = True
-    si, sj = flags[: i.size], flags[i.size : 2 * i.size]
+    rows = rows.astype(np.intp)
+    end_seen = np.empty(j.size, dtype=bool)
     while True:
+        start_seen = seen.take(rows).repeat(per_row)
         # Every index is a node, so "clip" clips nothing; it spares take a
         # buffered copy of its output.
-        seen.take(i, out=si, mode="clip")
-        seen.take(j, out=sj, mode="clip")
-        cross = np.flatnonzero(np.not_equal(si, sj, out=si))
+        seen.take(j, out=end_seen, mode="clip")
+        cross = np.flatnonzero(np.not_equal(start_seen, end_seen, out=start_seen))
         if not cross.size:
             return seen
         seen[i.take(cross)] = True
@@ -172,9 +176,13 @@ def pair_graph_stats(rngs, model: ConnectivityModel, ws: Workspace) -> tuple[np.
     cuts = np.searchsorted(k, ws.starts[: rows + 1])
     per_row = cuts[1:] - cuts[:-1]
     i = ws.nodes[:rows].repeat(per_row)
-    # The columns j = k + shift[row] overwrite the link indices.
-    j = k
-    j += ws.shift[:rows].repeat(per_row)
+    # The columns k + shift[row], built in the link indices' place.
+    k += ws.shift[:rows].repeat(per_row)
+    # The squared distances are spent: their 8 bytes per pair take the
+    # columns as intp, so that neither bincount nor the search casts them.
+    j = ws.d2[: k.size].view(np.intp)
+    j[...] = k
+    del k
     m = trials * n
     degree = np.bincount(j, minlength=m)
     degree[ws.nodes[:rows]] += per_row
@@ -182,8 +190,6 @@ def pair_graph_stats(rngs, model: ConnectivityModel, ws: Workspace) -> tuple[np.
     # An isolated node disconnects any graph of two or more nodes.
     connected = min_degree > 0
     if connected.any():
-        # The squared distances are spent: their 8 bytes per pair hold the
-        # search's 2 flags per link.
-        seen = _reached(m, np.arange(0, m, n), i, j, ws.d2.view(bool))
+        seen = _reached(m, np.arange(0, m, n), ws.nodes[:rows], per_row, i, j)
         connected &= seen.reshape(trials, n).all(axis=1)
     return connected, min_degree

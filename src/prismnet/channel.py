@@ -115,8 +115,11 @@ def h_of_d2(model: ConnectivityModel, d2, out=None, scratch=None) -> np.ndarray:
     if not isinstance(d2, np.float64):
         d2 = np.asarray(d2, dtype=float)
     if model.family == MIMO_MRC_2X2:
-        x = model.beta * d2 if scratch is None else np.multiply(d2, model.beta, out=scratch)
-        e = np.exp(-x) if out is None else np.exp(np.negative(x, out=out), out=out)
+        # x = -beta d2, so e = exp(x) needs no negation pass; x*x is the same
+        # either sign.
+        b = -model.beta
+        x = b * d2 if scratch is None else np.multiply(d2, b, out=scratch)
+        e = np.exp(x) if out is None else np.exp(x, out=out)
         # e * (x*x + 2 - e), built in x.
         x *= x
         x += 2.0

@@ -18,8 +18,8 @@ volume or surface area overflows a float is too large; one whose volume,
 surface area or base cross products underflow is too small.
 
 All lengths are dimensionless program units.  Domains are immutable after
-construction and safe for concurrent reads; sampling takes a caller-owned
-numpy Generator.
+construction and safe for concurrent reads; sampling takes caller-owned
+numpy Generators, one per trial of a batch.
 """
 
 from __future__ import annotations
@@ -178,8 +178,11 @@ class Domain:
         """Membership of each row of an (n, 3) point array (closed region)."""
         raise NotImplementedError
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw n points uniformly over the volume, shape (n, 3)."""
+    def sample(self, n: int, rngs) -> np.ndarray:
+        """Draw n points uniformly over the volume per generator, shape
+        (len(rngs), n, 3): trial t's come from ``rngs[t]`` alone, bit for bit
+        as a one-trial sampler's ``random(n)`` calls place them, and leave it
+        where those would.  One trial is ``sample(n, [rng])[0]``."""
         raise NotImplementedError
 
     def to_spec(self) -> dict:
@@ -253,15 +256,24 @@ def _prism_features(base: Polygon2D, height: float, volume: float, area: float) 
     return _inventory(volume, area, edges, [(ang, 2) for ang in angles])
 
 
-def _sample_triangle(a, b, c, u1, u2):
-    """Uniform points in triangle abc by the reflection method.
+def _uniforms(rngs, groups, n):
+    """Each generator's next ``groups`` draws of n uniforms, shape
+    (len(rngs), groups, n), in one ``random(out=...)`` call per generator."""
+    u = np.empty((len(rngs), groups, n))
+    for rng, row in zip(rngs, u):
+        rng.random(out=row)
+    return u
 
-    a, b, c are one vertex each, shape (2,), or one row per point, shape (n, 2).
+
+def _sample_triangle(fan, u1, u2):
+    """Uniform points in triangles by the reflection method, shape
+    u1.shape + (2,).  ``fan`` gives per coordinate the vertex a and edges
+    b - a and c - a (floats or arrays like u1); u1 and u2 are folded in place.
     """
     over = u1 + u2 > 1.0
-    u1 = np.where(over, 1.0 - u1, u1)[:, None]
-    u2 = np.where(over, 1.0 - u2, u2)[:, None]
-    return a + u1 * (b - a) + u2 * (c - a)
+    np.subtract(1.0, u1, out=u1, where=over)
+    np.subtract(1.0, u2, out=u2, where=over)
+    return np.stack([a + u1 * ab + u2 * ac for a, ab, ac in fan], axis=-1)
 
 
 class RightPrism(Domain):
@@ -275,15 +287,14 @@ class RightPrism(Domain):
         self.base = base
         self.height = float(height)
         self._check_size()
-        # Fan triangulation for exact uniform sampling over the base.
+        # Fan triangulation from vertex 0 for exact uniform sampling: per
+        # coordinate, each triangle's vertex and its edges b - a and c - a,
+        # and the normalised cumulative area weights, computed as
+        # Generator.choice(p=...) does.
         v = base.vertices
-        tris = [(v[0], v[i], v[i + 1]) for i in range(1, base.q - 1)]
-        areas = np.array(
-            [abs((b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0]) * 0.5 for a, b, c in tris]
-        )
-        # Vertex rows of the fan, shape (3, triangles, 2), and the normalised
-        # cumulative area weights, computed as Generator.choice(p=...) does.
-        self._tris = np.array(tris).transpose(1, 0, 2)
+        ab, ac = v[1:-1] - v[0], v[2:] - v[0]
+        areas = abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]) * 0.5
+        self._fan = np.array([np.broadcast_to(v[0], ab.shape), ab, ac]).transpose(2, 0, 1)
         cdf = (areas / areas.sum()).cumsum()
         self._tri_cdf = cdf / cdf[-1]
 
@@ -303,13 +314,14 @@ class RightPrism(Domain):
         ok = (p[:, 2] >= 0.0) & (p[:, 2] <= self.height)
         return ok & self.base.contains(p[:, :2])
 
-    def sample(self, n, rng):
-        # The same draws as rng.choice(triangles, size=n, p=weights).
-        idx = self._tri_cdf.searchsorted(rng.random(n), side="right")
-        a, b, c = self._tris[:, idx]
-        xy = _sample_triangle(a, b, c, rng.random(n), rng.random(n))
-        z = rng.random(n) * self.height
-        return np.column_stack([xy, z])
+    def sample(self, n, rngs):
+        # Per trial: the triangle (the same draw as rng.choice(triangles,
+        # size=n, p=weights)), two triangle uniforms and z.
+        u = _uniforms(rngs, 4, n)
+        tri = self._tri_cdf.searchsorted(u[:, 0], side="right")
+        # Each coordinate's triangle rows are gathered only as it is computed.
+        xy = _sample_triangle((f[:, tri] for f in self._fan), u[:, 1], u[:, 2])
+        return np.dstack([xy, u[:, 3] * self.height])
 
     def to_spec(self) -> dict:
         return {"kind": "prism", "base": self.base.vertices.tolist(), "height": self.height}
@@ -367,21 +379,18 @@ class House(Domain):
         in_roof = (z <= 1.5 * L) & (np.abs(x - 0.5 * L) <= roof_halfwidth)
         return inside_xy & wall & np.where(z <= L, True, in_roof)
 
-    def sample(self, n, rng):
+    def sample(self, n, rngs):
         L = self.L
-        in_roof = rng.random(n) < 0.2
-        x = rng.random(n) * L
-        y = rng.random(n) * L
-        z = rng.random(n) * L
-        n_roof = int(np.count_nonzero(in_roof))
-        if n_roof:
-            apex = np.array([0.5 * L, 1.5 * L])
-            left = np.array([0.0, L])
-            right = np.array([L, L])
-            xz = _sample_triangle(left, right, apex, rng.random(n_roof), rng.random(n_roof))
-            x[in_roof] = xz[:, 0]
-            z[in_roof] = xz[:, 1]
-        return np.column_stack([x, y, z])
+        # Per trial: the roof flags, x, y and z, then its roof nodes' u1, u2.
+        u = _uniforms(rngs, 4, n)
+        in_roof = u[:, 0] < 0.2
+        pts = np.empty((len(rngs), n, 3))
+        np.multiply(u[:, 1:], L, out=pts.transpose(0, 2, 1))
+        draws = [rng.random((2, c)) for rng, c in zip(rngs, map(np.count_nonzero, in_roof))]
+        left, right, apex = np.array([[0.0, L], [L, L], [0.5 * L, 1.5 * L]])
+        fan = zip(left, right - left, apex - left)
+        pts[in_roof, ::2] = _sample_triangle(fan, *np.concatenate(draws, axis=1))
+        return pts
 
     def to_spec(self) -> dict:
         return {"kind": "house", "L": self.L}
@@ -430,11 +439,12 @@ class HalfCylinder(Domain):
             & (p[:, 2] <= h)
         )
 
-    def sample(self, n, rng):
-        s = self.radius * np.sqrt(rng.random(n))
-        phi = np.pi * rng.random(n)
-        z = self.height * rng.random(n)
-        return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+    def sample(self, n, rngs):
+        # Per trial: the radius, angle and z draws.
+        u = _uniforms(rngs, 3, n)
+        s = self.radius * np.sqrt(u[:, 0])
+        phi = np.pi * u[:, 1]
+        return np.stack([s * np.cos(phi), s * np.sin(phi), self.height * u[:, 2]], axis=-1)
 
     def to_spec(self) -> dict:
         return {"kind": "half_cylinder", "r": self.radius, "h": self.height}

@@ -10,18 +10,24 @@ their first node.
 
 A batch holds B = BATCH // (N(N-1)/2) trials (``_kernel.batch_trials``),
 at least one and at most MAX_TRIALS: about ten at N = 156, one from N = 363
-up.  Each chunk of trials allocates one workspace, and every batch writes
-into it: one float64 array of the batch's B N(N-1)/2 squared distances,
-i.e. 1 MB at N = 156, 6.2 MB at N = 1250 and 400 MB at N = 10,000, plus
-cache-sized blocks for the pair uniforms, H and the link test.  The link
-list grows with the number of links, not of pairs; its indices are int32
-while the batch's pairs fit, and the search keeps its per-link flags in the
-spent squared distances.  When every pair links, a batch peaks at 24 bytes
-per pair, 8 of distance and 16 of link arrays, plus the blocks and, per
-trial, 2 KB for its generator and 64 bytes per node.  A run holds one batch per worker, and physical memory
-is their budget, counted for the worst case by ``_kernel.workspace_bytes``:
-``SimConfig`` refuses an N whose one worker exceeds it, and ``estimate``
-runs no more workers than there are trials or workers that fit in it.
+up.  A batch is set up together: its B generators, then one
+``Domain.sample`` call that places every trial's nodes, each trial's from
+its own generator, then one ``run_trial`` per trial that writes its squared
+distances.  Each chunk of trials allocates one workspace, and every batch
+writes into it: one float64 array of the batch's B N(N-1)/2 squared
+distances, i.e. 1 MB at N = 156, 6.2 MB at N = 1250 and 400 MB at
+N = 10,000, plus cache-sized blocks for the pair uniforms, H and the link
+test.  The link list grows with the number of links, not of pairs; its
+indices are int32 while the batch's pairs fit, and the link columns move,
+as intp, into the spent squared distances, where bincount and the search
+read them without a cast.  When every pair links, a batch peaks at 24
+bytes per pair, 8 of distance and 16 of link arrays, plus the blocks and,
+per trial, 2 KB for its generator and 120 bytes per node for its
+positions, the draws that sample them and its node arrays.  A run holds
+one batch per worker, and physical memory is their budget, counted for the
+worst case by ``_kernel.workspace_bytes``: ``SimConfig`` refuses an N
+whose one worker exceeds it, and ``estimate`` runs no more workers than
+there are trials or workers that fit in it.
 
 Trials are fully determined by (seed, trial_index): random numbers come
 from a per-trial generator seeded with that pair, so serial, reordered,
@@ -138,13 +144,10 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial_index]))
 
 
-def run_trial(config: SimConfig, trial_index: int, d2: np.ndarray) -> np.random.Generator:
-    """Start trial ``trial_index``: sample its nodes and write their squared
-    pair distances, in pair order, into ``d2``.  Returns the trial's
-    generator, from which the kernel draws the pair uniforms."""
-    rng = trial_rng(config.seed, trial_index)
-    pdist(config.domain.sample(config.n, rng), "sqeuclidean", out=d2)
-    return rng
+def run_trial(positions: np.ndarray, d2: np.ndarray) -> None:
+    """Write a trial's squared pair distances, in pair order, into ``d2``,
+    from its (N, 3) node positions."""
+    pdist(positions, "sqeuclidean", out=d2)
 
 
 def trial_outcomes(
@@ -154,11 +157,15 @@ def trial_outcomes(
     (start < stop), one kernel batch at a time, in trial order."""
     ws = _kernel.Workspace(config.n, min(_kernel.batch_trials(config.n), stop - start))
     for first in range(start, stop, ws.trials):
-        # The batch's generators live only as long as the kernel call.
-        trials = range(first, min(first + ws.trials, stop))
-        yield _kernel.pair_graph_stats(
-            [run_trial(config, t, ws.slot(t - first)) for t in trials], config.model, ws
-        )
+        # The batch's generators live only as long as the kernel call.  Each
+        # supplies its trial's node positions, then its pair uniforms.
+        rngs = [trial_rng(config.seed, t) for t in range(first, min(first + ws.trials, stop))]
+        positions = config.domain.sample(config.n, rngs)
+        for t in range(len(rngs)):
+            run_trial(positions[t], ws.slot(t))
+        # Spent once their distances are written; the kernel peaks without them.
+        del positions
+        yield _kernel.pair_graph_stats(rngs, config.model, ws)
 
 
 def _count_range(config: SimConfig, start: int, stop: int) -> tuple[int, int]:

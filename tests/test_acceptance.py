@@ -37,7 +37,13 @@ from prismnet.geometry import (
 from prismnet.quadrature import validation_suite
 from prismnet.simulator import SimConfig, estimate, trial_outcomes
 
-from test_simulator import graph_from_bits, kernel_on_graph, reachability_oracle, _kernel
+from test_simulator import (
+    graph_from_bits,
+    kernel_on_graphs,
+    random_graphs,
+    reachability_oracle,
+    _kernel,
+)
 
 SQRT2 = math.sqrt(2.0)
 TRIALS = 200_000
@@ -213,17 +219,15 @@ def test_criterion_6_exponent_laws(capsys):
 @pytest.mark.slow
 def test_criterion_7_connectivity_exactness(capsys):
     n = 6
+    six = [graph_from_bits(n, bits) for bits in range(1 << (n * (n - 1) // 2))]
     agree6 = all(
-        kernel_on_graph(_kernel, graph_from_bits(n, bits))
-        == reachability_oracle(graph_from_bits(n, bits))
-        for bits in range(1 << (n * (n - 1) // 2))
+        got == reachability_oracle(adj) for got, adj in zip(kernel_on_graphs(_kernel, six), six)
     )
-    rng = np.random.default_rng(7)
-    agree12 = True
-    for _ in range(1000):
-        adj = np.triu(rng.random((12, 12)) < rng.uniform(0.05, 0.5), k=1)
-        adj = adj | adj.T
-        agree12 &= kernel_on_graph(_kernel, adj) == reachability_oracle(adj)
+    twelve = random_graphs(np.random.default_rng(7), 12, 1000)
+    agree12 = all(
+        got == reachability_oracle(adj)
+        for got, adj in zip(kernel_on_graphs(_kernel, twelve), twelve)
+    )
     cfg = SimConfig(domain=build_house(2.0), model=mimo_mrc_2x2(1.0), trials=1, rho=1.0)
     implication = True
     for connected, min_degree in trial_outcomes(cfg, 0, 100_000):
@@ -283,7 +287,7 @@ def test_criterion_9_sampler_and_link_fidelity(capsys):
     d = build_house(L)
     rng = np.random.default_rng(91)
     n = 1_000_000
-    p = d.sample(n, rng)
+    p = d.sample(n, [rng])[0]
     edges_x = np.linspace(0, L, 5)
     edges_y = np.linspace(0, L, 5)
     edges_z = np.linspace(0, 1.5 * L, 5)

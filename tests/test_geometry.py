@@ -104,7 +104,7 @@ class TestHouse:
     def test_sampling_moments(self):
         d = build_house(1.0)
         rng = np.random.default_rng(42)
-        p = d.sample(200_000, rng)
+        p = d.sample(200_000, [rng])[0]
         assert np.all(d.contains(p))
         # E[z] = 19/30 from the box + roof-prism decomposition.
         se = p[:, 2].std() / math.sqrt(len(p))
@@ -138,7 +138,7 @@ class TestHalfCylinder:
         r = 2.0
         d = build_half_cylinder(r, 1.0)
         rng = np.random.default_rng(7)
-        p = d.sample(200_000, rng)
+        p = d.sample(200_000, [rng])[0]
         assert np.all(d.contains(p))
         s = np.hypot(p[:, 0], p[:, 1])
         se = s.std() / math.sqrt(len(s))
@@ -166,7 +166,7 @@ class TestRightPrism:
         base = Polygon2D([[0, 0], [1, 0], [0.5, 1]])
         d = build_right_prism(base, 2.0)
         rng = np.random.default_rng(1)
-        p = d.sample(50_000, rng)
+        p = d.sample(50_000, [rng])[0]
         assert np.all(d.contains(p))
         assert_allclose(p[:, 2].mean(), 1.0, atol=0.02)
 
@@ -188,7 +188,7 @@ class TestRightPrismProperties:
     @settings(max_examples=40, deadline=None, database=None)
     @given(prism=convex_prisms(), seed=st.integers(0, 2**32 - 1))
     def test_samples_inside(self, prism, seed):
-        assert np.all(prism.contains(prism.sample(2000, np.random.default_rng(seed))))
+        assert np.all(prism.contains(prism.sample(2000, [np.random.default_rng(seed)])[0]))
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(prism=convex_prisms())
@@ -224,7 +224,7 @@ class TestHalfCylinderProperties:
     @settings(max_examples=40, deadline=None, database=None)
     @given(cyl=half_cylinders, seed=st.integers(0, 2**32 - 1))
     def test_samples_inside(self, cyl, seed):
-        assert np.all(cyl.contains(cyl.sample(2000, np.random.default_rng(seed))))
+        assert np.all(cyl.contains(cyl.sample(2000, [np.random.default_rng(seed)])[0]))
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(cyl=half_cylinders)
@@ -274,6 +274,85 @@ class TestHouseProperties:
         edges = build_house(1e-9).features().edges
         assert [(e.label, e.multiplicity) for e in edges] == [("E1", 4), ("E1", 9), ("E2", 2)]
         assert_allclose([e.measure for e in edges], [1e-9 / math.sqrt(2), 1e-9, 1e-9], rtol=1e-15)
+
+
+def reference_sample(domain, n, rng):
+    """One trial's points as a one-trial sampler draws them, ``random(n)`` by
+    ``random(n)``; the batched sampler must match it bit for bit."""
+
+    def triangle(a, b, c, u1, u2):
+        over = u1 + u2 > 1.0
+        u1 = np.where(over, 1.0 - u1, u1)[:, None]
+        u2 = np.where(over, 1.0 - u2, u2)[:, None]
+        return a + u1 * (b - a) + u2 * (c - a)
+
+    if domain.kind == "house":
+        L = domain.L
+        in_roof = rng.random(n) < 0.2
+        x = rng.random(n) * L
+        y = rng.random(n) * L
+        z = rng.random(n) * L
+        n_roof = int(np.count_nonzero(in_roof))
+        if n_roof:
+            apex, left, right = np.array([0.5 * L, 1.5 * L]), np.array([0.0, L]), np.array([L, L])
+            xz = triangle(left, right, apex, rng.random(n_roof), rng.random(n_roof))
+            x[in_roof] = xz[:, 0]
+            z[in_roof] = xz[:, 1]
+        return np.column_stack([x, y, z])
+    if domain.kind == "half_cylinder":
+        s = domain.radius * np.sqrt(rng.random(n))
+        phi = np.pi * rng.random(n)
+        z = domain.height * rng.random(n)
+        return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
+    v = domain.base.vertices
+    tris = [(v[0], v[i], v[i + 1]) for i in range(1, domain.base.q - 1)]
+    areas = np.array(
+        [abs((b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0]) * 0.5 for a, b, c in tris]
+    )
+    idx = rng.choice(len(tris), size=n, p=areas / areas.sum())
+    a, b, c = np.array(tris).transpose(1, 0, 2)[:, idx]
+    xy = triangle(a, b, c, rng.random(n), rng.random(n))
+    return np.column_stack([xy, rng.random(n) * domain.height])
+
+
+HEXAGON = [[2 * math.cos(k * math.pi / 3), 2 * math.sin(k * math.pi / 3)] for k in range(6)]
+SAMPLED_DOMAINS = [
+    build_house(5.0),
+    build_half_cylinder(5.0, 4.0),
+    build_right_prism(Polygon2D(HEXAGON), 3.0),
+    build_right_prism(Polygon2D([[0, 0], [3, 0], [2, 1], [0.5, 2]]), 0.5),
+]
+
+
+class TestBatchedSampling:
+    """A batch's points are each trial's own points, from its own generator."""
+
+    @pytest.mark.parametrize("domain", SAMPLED_DOMAINS, ids=lambda d: d.kind)
+    @pytest.mark.parametrize("n, trials", [(156, 10), (40, 168), (3, 16), (1, 7), (25, 1)])
+    def test_matches_one_trial_sampler(self, domain, n, trials):
+        rngs = [np.random.default_rng([11, t]) for t in range(trials)]
+        twins = [np.random.default_rng([11, t]) for t in range(trials)]
+        got = domain.sample(n, rngs)
+        assert got.shape == (trials, n, 3) and got.flags.c_contiguous
+        want = np.stack([reference_sample(domain, n, twin) for twin in twins])
+        assert got.tobytes() == want.tobytes()
+        # Each generator is left where the one-trial sampler leaves its twin.
+        for rng, twin in zip(rngs, twins):
+            assert rng.random() == twin.random()
+
+    def test_house_batch_with_and_without_roof_nodes(self):
+        # Three nodes: a trial draws no roof node with probability 0.512, so
+        # this batch mixes trials with no roof draws and trials with some.
+        house = build_house(2.0)
+        rngs = [np.random.default_rng([5, t]) for t in range(16)]
+        roof = [np.count_nonzero(np.random.default_rng([5, t]).random(3) < 0.2) for t in range(16)]
+        assert 0 in roof and max(roof) > 1
+        twins = [np.random.default_rng([5, t]) for t in range(16)]
+        got = house.sample(3, rngs)
+        want = np.stack([reference_sample(house, 3, twin) for twin in twins])
+        assert got.tobytes() == want.tobytes()
+        assert np.all(house.contains(got.reshape(-1, 3)))
+        assert [rng.random() for rng in rngs] == [twin.random() for twin in twins]
 
 
 class TestSpecs:

@@ -59,29 +59,50 @@ def outcomes(cfg, start, stop):
     ]
 
 
+def start_trial(cfg, t, d2):
+    """Trial t alone, a batch of one: sample its nodes, write their squared
+    distances into d2 and return its generator, which the kernel draws on."""
+    rng = trial_rng(cfg.seed, t)
+    run_trial(cfg.domain.sample(cfg.n, [rng])[0], d2)
+    return rng
+
+
 def one_by_one(cfg, start, stop):
     """The same trials' outcomes, each decided alone as a batch of one."""
     ws = _kernel.Workspace(cfg.n, 1)
     got = []
     for t in range(start, stop):
-        rng = run_trial(cfg, t, ws.slot(0))
+        rng = start_trial(cfg, t, ws.slot(0))
         connected, min_degree = _kernel.pair_graph_stats([rng], cfg.model, ws)
         got.append((bool(connected[0]), int(min_degree[0])))
     return got
 
 
-def kernel_on_graph(kernel, adj):
-    """Drive a kernel with an arbitrary adjacency matrix.
+def kernel_on_graphs(kernel, adjs):
+    """Drive a kernel with arbitrary adjacency matrices of n nodes each, a
+    full batch of graphs per kernel call; returns each graph's
+    (connected, min_degree).
 
     Nodes sit at coincident-free positions inside a huge hard-disk range so
-    every pair has link probability 1; the pair uniform is 0.5 for a present
-    edge and 1.0 for an absent one (u < 1 fails only then).
+    every pair has link probability 1; each graph is a trial with its own
+    preset pair uniforms, 0.5 for a present edge and 1.0 for an absent one
+    (u < 1 fails only then).
     """
-    n = adj.shape[0]
-    pos = np.ascontiguousarray(np.random.default_rng(0).random((n, 3)))
+    n = adjs[0].shape[0]
+    d2 = pdist(np.random.default_rng(0).random((n, 3)), "sqeuclidean")
     iu = np.triu_indices(n, k=1)
-    u = np.where(adj[iu], 0.5, 1.0).astype(float)
-    return preset_stats(kernel, pos, u, hard_disk(1e6))
+    ws = kernel.Workspace(n, kernel.batch_trials(n))
+    got = []
+    for first in range(0, len(adjs), ws.trials):
+        batch = adjs[first : first + ws.trials]
+        rngs = [PresetUniforms(np.where(adj[iu], 0.5, 1.0)) for adj in batch]
+        for t in range(len(rngs)):
+            # The kernel spends each batch's squared distances.
+            ws.slot(t)[...] = d2
+        connected, min_degree = kernel.pair_graph_stats(rngs, hard_disk(1e6), ws)
+        assert all(rng.used == d2.size for rng in rngs)
+        got += zip(connected.tolist(), min_degree.tolist())
+    return got
 
 
 def reachability_oracle(adj):
@@ -108,20 +129,26 @@ def graph_from_bits(n, bits):
     return adj | adj.T
 
 
+def random_graphs(rng, n, count):
+    """``count`` random graphs of n nodes, each of its own edge density."""
+    adjs = []
+    for _ in range(count):
+        adj = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.5), k=1)
+        adjs.append(adj | adj.T)
+    return adjs
+
+
 class TestKernelExactness:
     def test_all_six_vertex_graphs(self):
         n = 6
-        for bits in range(1 << (n * (n - 1) // 2)):
-            adj = graph_from_bits(n, bits)
-            assert kernel_on_graph(_kernel, adj) == reachability_oracle(adj), f"graph {bits}"
+        adjs = [graph_from_bits(n, bits) for bits in range(1 << (n * (n - 1) // 2))]
+        for bits, (got, adj) in enumerate(zip(kernel_on_graphs(_kernel, adjs), adjs)):
+            assert got == reachability_oracle(adj), f"graph {bits}"
 
     def test_random_twelve_vertex_graphs(self):
-        rng = np.random.default_rng(99)
-        n = 12
-        for _ in range(1000):
-            adj = np.triu(rng.random((n, n)) < rng.uniform(0.05, 0.5), k=1)
-            adj = adj | adj.T
-            assert kernel_on_graph(_kernel, adj) == reachability_oracle(adj)
+        adjs = random_graphs(np.random.default_rng(99), 12, 1000)
+        for got, adj in zip(kernel_on_graphs(_kernel, adjs), adjs):
+            assert got == reachability_oracle(adj)
 
     @pytest.mark.parametrize(
         "domain, model, rho",
@@ -140,7 +167,7 @@ class TestKernelExactness:
         kinds = set()
         for t in range(100):
             rng = trial_rng(cfg.seed, t)
-            pos = np.ascontiguousarray(cfg.domain.sample(n, rng))
+            pos = cfg.domain.sample(n, [rng])[0]
             u = rng.random(n * (n - 1) // 2)
             adj = np.zeros((n, n), dtype=bool)
             k = 0
@@ -166,7 +193,7 @@ class TestKernelExactness:
         kinds = set()
         for t in range(30):
             rng = trial_rng(cfg.seed, t)
-            pos = np.ascontiguousarray(cfg.domain.sample(n, rng))
+            pos = cfg.domain.sample(n, [rng])[0]
             u = rng.random(n * (n - 1) // 2)
             link = u < h_of_d2(cfg.model, pdist(pos, "sqeuclidean"))
             assert np.unique(np.flatnonzero(link) // _kernel.BLOCK).size == 3
@@ -189,11 +216,11 @@ class TestKernelExactness:
             assert cfg.n == n
             trials = _kernel.batch_trials(n)
             ws = _kernel.Workspace(n, trials)
-            rngs = [run_trial(cfg, t, ws.slot(t)) for t in range(trials)]
+            rngs = [start_trial(cfg, t, ws.slot(t)) for t in range(trials)]
             _kernel.pair_graph_stats(rngs, cfg.model, ws)
             for t, rng in enumerate(rngs):
                 twin = trial_rng(cfg.seed, t)
-                cfg.domain.sample(n, twin)
+                cfg.domain.sample(n, [twin])
                 twin.random(ws.pairs)
                 assert rng.random() == twin.random(), f"N={n} trial {t}"
 
@@ -204,7 +231,7 @@ class TestKernelExactness:
         for model in (mimo_mrc_2x2(1.0), rayleigh(1.0, 3.0), hard_disk(1.2)):
             cfg = SimConfig(domain=d, model=model, trials=1, rho=0.3)
             for t in range(6):
-                rng = run_trial(cfg, t, ws.slot(0))
+                rng = start_trial(cfg, t, ws.slot(0))
                 connected, min_degree = _kernel.pair_graph_stats([rng], model, ws)
                 assert [(bool(connected[0]), int(min_degree[0]))] == one_by_one(cfg, t, t + 1)
 
@@ -366,14 +393,14 @@ class TestWorkers:
 
     def test_memory_budget_is_the_workspace_bytes(self, monkeypatch):
         # A full batch's squared distances, block buffers, every pair's link
-        # arrays, and its trials' generators and node arrays: one byte less
-        # is refused.
+        # arrays, and its trials' generators, positions and node arrays: one
+        # byte less is refused.
         args = dict(domain=build_house(2.0), model=mimo_mrc_2x2(1.0), trials=1, rho=1.0)
         n = SimConfig(**args).n
         batch = _kernel.batch_trials(n)
         pairs = batch * n * (n - 1) // 2
         need = _kernel.workspace_bytes(n)
-        assert need == 24 * pairs + 33 * min(pairs, _kernel.BLOCK) + (2048 + 64 * n) * batch
+        assert need == 24 * pairs + 33 * min(pairs, _kernel.BLOCK) + (2048 + 120 * n) * batch
         monkeypatch.setattr(simulator, "PHYSICAL_MEMORY", need - 1)
         with pytest.raises(SimulationError, match="physical memory"):
             SimConfig(**args)
