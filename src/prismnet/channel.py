@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import InputError
+from .base import InputError, spec_number
 
 MIMO_MRC_2X2 = "mimo_mrc_2x2"
 RAYLEIGH = "rayleigh"
@@ -208,10 +208,14 @@ def model_from_spec(spec: dict) -> ConnectivityModel:
     extra = sorted(map(str, spec.keys() - _MODEL_FIELDS[family]))
     if extra:
         raise ModelError(f"{family} model spec has unknown field(s): {', '.join(extra)}")
+
+    def number(value):
+        return spec_number(value, f"{family} model spec field", ModelError)
+
     try:
         if family == HARD_DISK:
-            return hard_disk(float(spec["r0"]))
-        return ConnectivityModel(family, float(spec["beta"]), float(spec.get("eta", 2.0)))
+            return hard_disk(number(spec["r0"]))
+        return ConnectivityModel(family, number(spec["beta"]), number(spec.get("eta", 2.0)))
     except ModelError:
         raise
     except KeyError as exc:

@@ -34,14 +34,13 @@ from .base import DEFAULT_SEED, InputError
 from .channel import ConnectivityModel, mimo_mrc_2x2, model_from_spec
 from .geometry import Domain, domain_from_spec
 
-EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 # Commands import the quadrature and simulator modules, which load scipy,
 # only when they run; so the errors are caught by their base classes.
-_CONFIG_ERRORS = (InputError, json.JSONDecodeError, click.UsageError)
+_CONFIG_ERRORS = (InputError, click.UsageError)
 # Numeric failures: QuadratureError and a closed form's OverflowError.
 _NUMERIC_ERRORS = ArithmeticError
 
@@ -75,15 +74,19 @@ class Job:
     seed: int = DEFAULT_SEED
 
 
+def _parse_json(text: str, source: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # also an int beyond Python's digit limit
+        raise JobError(f"{source}: invalid JSON: {exc}") from exc
+
+
 def _read_json_file(path: str):
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise JobError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise JobError(f"{path}: invalid JSON: {exc}") from exc
+    return _parse_json(text, path)
 
 
 def _load_spec(value: str | dict | None, flag: str) -> dict:
@@ -93,7 +96,7 @@ def _load_spec(value: str | dict | None, flag: str) -> dict:
         return value
     value = value.strip()
     if value.startswith("{"):
-        return json.loads(value)
+        return _parse_json(value, flag)
     return _read_json_file(value)
 
 
@@ -138,7 +141,12 @@ def _config_value(ctx: click.Context, param: click.Parameter, key: str, value):
     kind = param.type.name.split()[0]  # "integer range" is checked as an integer
     if type(value) not in _JSON_TYPES[kind] + ((dict,) if param.name in _SPEC_KEYS else ()):
         raise JobError(f"config key {key!r}: expected {kind}, got {type(value).__name__}")
-    return value if isinstance(value, dict) else param.type_cast_value(ctx, value)
+    if isinstance(value, dict):
+        return value
+    try:
+        return param.type_cast_value(ctx, value)
+    except OverflowError:
+        raise JobError(f"config key {key!r}: integer too large for a float") from None
 
 
 def _merge_config(ctx: click.Context, flags: dict, path: str) -> dict:

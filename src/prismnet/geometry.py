@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import InputError
+from .base import InputError, spec_number
 
 # Tolerance (relative to the coordinate scale) below which two vertices are
 # considered coincident.
@@ -72,10 +72,6 @@ class Polygon2D:
         self.vertices.setflags(write=False)
         # Computed once, since the vertices are read-only.
         self.area = area
-
-    @property
-    def q(self) -> int:
-        return len(self.vertices)
 
     @property
     def edge_vectors(self) -> np.ndarray:
@@ -148,14 +144,6 @@ class FeatureSet:
 
     def all_features(self):
         return (self.bulk, self.face, *self.edges, *self.corners)
-
-    @property
-    def corner_count(self) -> int:
-        return sum(c.multiplicity for c in self.corners)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(e.multiplicity for e in self.edges)
 
 
 class Domain:
@@ -485,12 +473,17 @@ def domain_from_spec(spec: dict) -> Domain:
     extra = sorted(map(str, spec.keys() - _DOMAIN_FIELDS[kind]))
     if extra:
         raise GeometryError(f"{kind} domain spec has unknown field(s): {', '.join(extra)}")
+
+    def number(value):
+        return spec_number(value, f"{kind} domain spec field", GeometryError)
+
     try:
         if kind == "house":
-            return build_house(float(spec["L"]))
+            return build_house(number(spec["L"]))
         if kind == "half_cylinder":
-            return build_half_cylinder(float(spec["r"]), float(spec["h"]))
-        return build_right_prism(Polygon2D(spec["base"]), float(spec["height"]))
+            return build_half_cylinder(number(spec["r"]), number(spec["h"]))
+        base = [[number(x) for x in vertex] for vertex in spec["base"]]
+        return build_right_prism(Polygon2D(base), number(spec["height"]))
     except GeometryError:
         raise
     except KeyError as exc:

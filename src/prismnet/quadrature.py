@@ -70,12 +70,10 @@ def _wedge_j_integrals(model: ConnectivityModel):
     with s = sqrt(r^2 + z^2), over r in [0, inf) and z in [0, inf).  In
     polar coordinates r = s cos(phi), z = s sin(phi) the angle integrates
     to 1, 1/2 and pi/4, leaving the two radial moments int s^2 H and
-    int s^2 H'.  A model without H' (hard disk) gets J2 = J3 = 0, which
-    serves only the probe at the apex.  ``_edge_j`` turns them into an
-    edge's.
+    int s^2 H'.  ``_edge_j`` turns them into an edge's.
     """
     m0 = _radial(model, _square)
-    m1 = _radial(model, _square, slope=True) if model.smooth else 0.0
+    m1 = _radial(model, _square, slope=True)
     return m0, 0.5 * m1, 0.25 * np.pi * m1
 
 
@@ -88,35 +86,14 @@ def _edge_j(J):
 
 def _wedge_mass(theta: float, J, r2: float, theta2: float, z2: float = 0.0) -> float:
     """First-order wedge link mass from a corner's J, or an edge's (whose
-    J2 = 0 drops the z2 term), at a checked probe."""
+    J2 = 0 drops the z2 term), at the probe (r2, theta2, z2)."""
     J1, J2, J3 = J
     ang = math.sin(theta2) + math.sin(theta - theta2)
     return theta * J1 - theta * z2 * J2 - r2 * ang * J3
 
 
-def inner_corner(
-    theta: float,
-    model: ConnectivityModel,
-    r2: float = 0.0,
-    theta2: float = 0.0,
-    z2: float = 0.0,
-) -> float:
-    """First-order link mass near a wedge corner, by numeric quadrature.
-
-    The wedge occupies r in [0, inf), theta1 in [0, theta), z in [0, inf)
-    in cylindrical coordinates; (r2, theta2, z2) is the probe node.
-    """
-    if not 0.0 < theta < np.pi:
-        raise ValueError("corner angle must lie in (0, pi)")
-    if not 0.0 <= theta2 <= theta or r2 < 0 or z2 < 0:
-        raise ValueError("probe point outside the wedge patch")
-    if not model.smooth and (r2 or z2):
-        raise ModelError("first-order terms need a differentiable H")
-    return _wedge_mass(theta, _wedge_j_integrals(model), r2, theta2, z2)
-
-
 def inner_corner_closed_form(
-    theta: float, beta: float, r2: float = 0.0, theta2: float = 0.0, z2: float = 0.0
+    theta: float, beta: float, r2: float, theta2: float, z2: float
 ) -> float:
     """Closed-form wedge link mass for the 2x2 MIMO MRC family (eta = 2)."""
     return (
@@ -126,18 +103,7 @@ def inner_corner_closed_form(
     ) / (8.0 * beta)
 
 
-def inner_edge(
-    theta: float, model: ConnectivityModel, r2: float = 0.0, theta2: float = 0.0
-) -> float:
-    """First-order link mass near an edge interior (z-range doubled, no z2 term)."""
-    if not 0.0 < theta < np.pi:
-        raise ValueError("edge angle must lie in (0, pi)")
-    if not model.smooth and r2:
-        raise ModelError("first-order terms need a differentiable H")
-    return _wedge_mass(theta, _edge_j(_wedge_j_integrals(model)), r2, theta2)
-
-
-def inner_edge_closed_form(theta: float, beta: float, r2: float = 0.0, theta2: float = 0.0) -> float:
+def inner_edge_closed_form(theta: float, beta: float, r2: float, theta2: float) -> float:
     return (
         0.5 * (23.0 - math.sqrt(2.0)) * math.sqrt(np.pi / beta) * theta
         + 7.0 * np.pi * r2 * (math.sin(theta2) - math.sin(theta2 - theta))
@@ -167,7 +133,7 @@ def _face_slope(R: float, model: ConnectivityModel) -> float:
     )
 
 
-def inner_face(R: float, model: ConnectivityModel, r2: float | None = None) -> float:
+def inner_face(R: float, model: ConnectivityModel, r2: float) -> float:
     """First-order link mass near the surface of the equal-area sphere.
 
     Note the numeric value carries a genuine curvature deficit of relative
@@ -176,8 +142,6 @@ def inner_face(R: float, model: ConnectivityModel, r2: float | None = None) -> f
     """
     if R <= 0:
         raise ValueError("sphere radius must be positive")
-    if r2 is None:
-        r2 = R
     if not 0.0 <= r2 <= R:
         raise ValueError("probe radius must lie in [0, R]")
     if not model.smooth and r2 != R:
@@ -188,9 +152,7 @@ def inner_face(R: float, model: ConnectivityModel, r2: float | None = None) -> f
     return zeroth + (r2 - R) * _face_slope(R, model)
 
 
-def inner_face_closed_form(R: float, beta: float, r2: float | None = None) -> float:
-    if r2 is None:
-        r2 = R
+def inner_face_closed_form(R: float, beta: float, r2: float) -> float:
     return (
         np.pi
         / (4.0 * beta)

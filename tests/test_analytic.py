@@ -180,7 +180,8 @@ def test_terms_follow_features(gaps, axes, height, beta):
     for t, f in zip(ts, features):
         assert (t.codim, t.multiplicity) == (f.codim, f.multiplicity)
         assert t.exponent_rate == f.solid_angle / (4.0 * np.pi) * bulk_mass(model)
-    assert sum(t.multiplicity for t in ts) == 2 + feats.edge_count + feats.corner_count
+    counts = [sum(f.multiplicity for f in group) for group in (feats.edges, feats.corners)]
+    assert sum(t.multiplicity for t in ts) == 2 + sum(counts)
     assert [t.label for t in ts[:2]] == ["U", "F"]
     for prefix, codim in (("E", 2), ("C", 3)):
         assert_numbered_by_angle(

@@ -254,6 +254,28 @@ class TestSpecs:
                 model_from_spec(spec)
 
     @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"family": "mimo_mrc_2x2", "beta": True}, "not a number"),
+            ({"family": "mimo_mrc_2x2", "beta": "1"}, "not a number"),
+            ({"family": "rayleigh", "beta": 1, "eta": np.bool_(True)}, "not a number"),
+            ({"family": "hard_disk", "r0": "1"}, "not a number"),
+            ({"family": "mimo_mrc_2x2", "beta": 10**400}, "too large"),
+            ({"family": "rayleigh", "beta": 1, "eta": 10**400}, "too large"),
+            ({"family": "hard_disk", "r0": 10**400}, "too large"),
+        ],
+        ids=["beta-bool", "beta-text", "eta-numpy-bool", "r0-text", "beta-big-int",
+             "eta-big-int", "r0-big-int"],
+    )
+    def test_fields_are_json_numbers(self, spec, message):
+        with pytest.raises(ModelError, match=message):
+            model_from_spec(spec)
+
+    def test_numpy_scalars_are_numbers(self):
+        m = model_from_spec({"family": "rayleigh", "beta": np.int64(2), "eta": np.float32(3.0)})
+        assert (m.beta, m.eta) == (2.0, 3.0)
+
+    @pytest.mark.parametrize(
         "spec, field",
         [
             ({"family": "mimo_mrc_2x2", "beta": 1.0, "r0": 9.0}, "r0"),

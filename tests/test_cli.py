@@ -46,6 +46,8 @@ SWEEP_COMMANDS = ("analytic", "simulate", "compare", "phase-map")
 SPEC_COMMANDS = ("analytic", "simulate", "compare")
 SIM_COMMANDS = ("simulate", "compare")
 
+BIG = "9" * 400
+HUGE = "9" * 5000
 # (id, commands, flags changed (None drops one), job file content or None, message fragment)
 BAD_INPUTS = [
     ("unknown-key", ALL_COMMANDS, {}, {"bogus": 1}, "unknown key 'bogus'"),
@@ -73,6 +75,27 @@ BAD_INPUTS = [
     ("house-L-text", SPEC_COMMANDS, {"--domain": '{"kind":"house","L":"x"}'}, None, "not a number"),
     ("prism-base-text", SPEC_COMMANDS,
      {"--domain": '{"kind":"prism","base":"x","height":1}'}, None, "not a number"),
+    # Specs take JSON numbers only: no bools, no numbers in strings, and no
+    # integer beyond a float's range (BIG) or Python's digit limit (HUGE).
+    ("house-L-true", SPEC_COMMANDS, {"--domain": '{"kind":"house","L":true}'}, None,
+     "not a number"),
+    ("house-L-numeric-text", SPEC_COMMANDS, {"--domain": '{"kind":"house","L":"5"}'}, None,
+     "not a number"),
+    ("model-beta-numeric-text", SPEC_COMMANDS,
+     {"--model": '{"family":"mimo_mrc_2x2","beta":"1"}'}, None, "not a number"),
+    ("prism-vertex-true", SPEC_COMMANDS,
+     {"--domain": '{"kind":"prism","base":[[0,0],[true,0],[0,1]],"height":1}'}, None,
+     "not a number"),
+    ("house-L-big-int", SPEC_COMMANDS, {"--domain": f'{{"kind":"house","L":{BIG}}}'}, None,
+     "too large"),
+    ("model-beta-big-int", SPEC_COMMANDS,
+     {"--model": f'{{"family":"mimo_mrc_2x2","beta":{BIG}}}'}, None, "too large"),
+    ("prism-vertex-big-int", SPEC_COMMANDS,
+     {"--domain": f'{{"kind":"prism","base":[[0,0],[{BIG},0],[0,1]],"height":1}}'}, None,
+     "too large"),
+    ("phase-map-beta-big-int-in-file", ("phase-map",), {}, {"beta": int(BIG)}, "too large"),
+    ("house-L-huge-int", SPEC_COMMANDS, {"--domain": f'{{"kind":"house","L":{HUGE}}}'}, None,
+     "invalid JSON"),
     ("house-extra-field", SPEC_COMMANDS, {"--domain": '{"kind":"house","L":5,"height":3}'}, None,
      "unknown field(s): height"),
     ("mimo-extra-field", SPEC_COMMANDS, {"--model": '{"family":"mimo_mrc_2x2","beta":1,"r0":9}'},

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.spatial import ConvexHull
 
 from prismnet.geometry import (
     BoundaryFeature,
@@ -17,9 +18,33 @@ from prismnet.geometry import (
     build_house,
     build_right_prism,
     domain_from_spec,
+    house_base_polygon,
 )
 
 SQRT2 = math.sqrt(2.0)
+
+
+def cauchy_surface_area(vertices, n=500):
+    """A convex body's surface area by Cauchy's formula: 4 times its mean
+    shadow area, over n Fibonacci-sphere directions.  Each shadow is the 2-D
+    convex hull of the body's vertices projected on the plane normal to the
+    direction (a 2-D hull's ``volume`` is its area)."""
+    i = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * i / n
+    phi = np.pi * (3.0 - math.sqrt(5.0)) * i
+    r = np.sqrt(1.0 - z * z)
+    shadows = []
+    for u in np.column_stack([r * np.cos(phi), r * np.sin(phi), z]):
+        a = np.cross(u, [1.0, 0.0, 0.0] if abs(u[0]) < 0.9 else [0.0, 1.0, 0.0])
+        a /= np.linalg.norm(a)
+        shadows.append(ConvexHull(vertices @ np.column_stack([a, np.cross(u, a)])).volume)
+    return 4.0 * np.mean(shadows)
+
+
+def extrude(polygon, depth):
+    """The vertices of a polygon (q, 2) extruded along a third axis to depth, (2q, 3)."""
+    v = np.asarray(polygon)
+    return np.vstack([np.column_stack([v, np.full(len(v), z)]) for z in (0.0, depth)])
 
 
 def unit_cube():
@@ -64,11 +89,18 @@ class TestHouse:
         assert_allclose(build_house(1.0).volume, 1.25)
         assert_allclose(build_house(2.0).surface_area, 2 * (11 + 2 * SQRT2))
 
+    def test_surface_area_matches_cauchy(self):
+        # The pentagon lies in x-z and extrudes along y; the area does not
+        # depend on which axis is which.
+        house = build_house(5.0)
+        shape = extrude(house_base_polygon(5.0).vertices, 5.0)
+        assert_allclose(cauchy_surface_area(shape), house.surface_area, rtol=1e-3)
+
     def test_feature_counts(self):
         f = build_house(3.0).features()
         q = 5
-        assert f.corner_count == 2 * q
-        assert f.edge_count == 3 * q
+        assert sum(c.multiplicity for c in f.corners) == 2 * q
+        assert sum(e.multiplicity for e in f.edges) == 3 * q
 
     def test_corner_groups(self):
         f = build_house(3.0).features()
@@ -123,7 +155,7 @@ class TestHalfCylinder:
     def test_features(self):
         r, h = 5.0, 4.0
         f = build_half_cylinder(r, h).features()
-        assert f.corner_count == 4
+        assert sum(c.multiplicity for c in f.corners) == 4
         assert all(abs(c.dihedral - np.pi / 2) < 1e-12 for c in f.corners)
         total_edge = sum(e.measure * e.multiplicity for e in f.edges)
         assert_allclose(total_edge, 2 * np.pi * r + 4 * r + 2 * h)
@@ -148,8 +180,8 @@ class TestHalfCylinder:
 class TestRightPrism:
     def test_cube_features(self):
         f = unit_cube().features()
-        assert f.corner_count == 8
-        assert f.edge_count == 12
+        assert sum(c.multiplicity for c in f.corners) == 8
+        assert sum(e.multiplicity for e in f.edges) == 12
         assert len(f.edges) == 1
         assert_allclose(f.edges[0].measure, 1.0)
         assert_allclose(f.edges[0].dihedral, np.pi / 2)
@@ -202,6 +234,12 @@ class TestRightPrismProperties:
         box = float(np.prod(hi - lo))
         assert abs(box * p - prism.volume) <= 5 * box * math.sqrt(p * (1 - p) / n)
 
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(prism=convex_prisms())
+    def test_surface_area_matches_cauchy(self, prism):
+        shape = extrude(prism.base.vertices, prism.height)
+        assert_allclose(cauchy_surface_area(shape), prism.surface_area, rtol=1e-3)
+
     @settings(max_examples=40, deadline=None, database=None)
     @given(prism=convex_prisms())
     def test_spec_round_trip(self, prism):
@@ -214,7 +252,7 @@ class TestRightPrismProperties:
     @settings(max_examples=40, deadline=None, database=None)
     @given(prism=convex_prisms())
     def test_corner_multiplicity_is_twice_the_vertex_count(self, prism):
-        assert prism.features().corner_count == 2 * prism.base.q
+        assert sum(c.multiplicity for c in prism.features().corners) == 2 * len(prism.base.vertices)
 
 
 half_cylinders = st.builds(build_half_cylinder, st.floats(0.1, 10.0), st.floats(0.1, 10.0))
@@ -251,7 +289,7 @@ class TestHalfCylinderProperties:
     @given(cyl=half_cylinders)
     def test_four_right_angle_corners(self, cyl):
         f = cyl.features()
-        assert f.corner_count == 4
+        assert sum(c.multiplicity for c in f.corners) == 4
         assert all(c.dihedral == 0.5 * np.pi for c in f.corners)
 
 
@@ -305,7 +343,7 @@ def reference_sample(domain, n, rng):
         z = domain.height * rng.random(n)
         return np.column_stack([s * np.cos(phi), s * np.sin(phi), z])
     v = domain.base.vertices
-    tris = [(v[0], v[i], v[i + 1]) for i in range(1, domain.base.q - 1)]
+    tris = [(v[0], v[i], v[i + 1]) for i in range(1, len(v) - 1)]
     areas = np.array(
         [abs((b - a)[0] * (c - a)[1] - (b - a)[1] * (c - a)[0]) * 0.5 for a, b, c in tris]
     )
@@ -399,6 +437,31 @@ class TestSpecs:
         ):
             with pytest.raises(GeometryError):
                 domain_from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"kind": "house", "L": True}, "not a number"),
+            ({"kind": "house", "L": "5"}, "not a number"),
+            ({"kind": "half_cylinder", "r": 5, "h": np.bool_(True)}, "not a number"),
+            ({"kind": "prism", "base": [[0, 0], [True, 0], [0, 1]], "height": 1}, "not a number"),
+            ({"kind": "prism", "base": [[0, 0], ["1", 0], [0, 1]], "height": 1}, "not a number"),
+            ({"kind": "house", "L": 10**400}, "too large"),
+            ({"kind": "prism", "base": [[0, 0], [10**400, 0], [0, 1]], "height": 1}, "too large"),
+            ({"kind": "prism", "base": [[0, 0], [1, 0], [0, 1]], "height": 10**400}, "too large"),
+        ],
+        ids=["L-bool", "L-text", "h-numpy-bool", "vertex-bool", "vertex-text", "L-big-int",
+             "vertex-big-int", "height-big-int"],
+    )
+    def test_fields_are_json_numbers(self, spec, message):
+        with pytest.raises(GeometryError, match=message):
+            domain_from_spec(spec)
+
+    def test_numpy_scalars_are_numbers(self):
+        spec = {"kind": "prism", "base": np.array([[0, 0], [2, 0], [0, 2]]), "height": np.int64(3)}
+        assert domain_from_spec(spec).volume == 6.0
+        house = domain_from_spec({"kind": "house", "L": np.float32(2.0)})
+        assert house.to_spec() == {"kind": "house", "L": 2.0}
 
     @pytest.mark.filterwarnings("error")  # an overflow RuntimeWarning fails the test
     def test_overflowing_sizes(self):

@@ -24,10 +24,9 @@ from prismnet.quadrature import (
     _face_slope,
     _face_zeroth,
     _wedge_j_integrals,
+    _wedge_mass,
     inner_bulk,
-    inner_corner,
     inner_corner_closed_form,
-    inner_edge,
     inner_edge_closed_form,
     inner_face,
     inner_face_closed_form,
@@ -41,13 +40,15 @@ THETAS = (np.pi / 3, np.pi / 2, 3 * np.pi / 4)
 
 
 class TestInnerIntegrals:
+    # The wedge rows of validation_suite: the first-order mass from the
+    # quadrature J triple against the MIMO closed forms, at other probes.
     @pytest.mark.parametrize("beta", BETAS)
     @pytest.mark.parametrize("theta", THETAS)
     def test_corner(self, beta, theta):
         m = mimo_mrc_2x2(beta)
         r2, t2, z2 = 0.07 * m.r0, 0.4 * theta, 0.11 * m.r0
         assert_allclose(
-            inner_corner(theta, m, r2, t2, z2),
+            _wedge_mass(theta, _wedge_j_integrals(m), r2, t2, z2),
             inner_corner_closed_form(theta, beta, r2, t2, z2),
             rtol=1e-4,
         )
@@ -58,7 +59,9 @@ class TestInnerIntegrals:
         m = mimo_mrc_2x2(beta)
         r2, t2 = 0.07 * m.r0, 0.4 * theta
         assert_allclose(
-            inner_edge(theta, m, r2, t2), inner_edge_closed_form(theta, beta, r2, t2), rtol=1e-4
+            _wedge_mass(theta, _edge_j(_wedge_j_integrals(m)), r2, t2),
+            inner_edge_closed_form(theta, beta, r2, t2),
+            rtol=1e-4,
         )
 
     @pytest.mark.parametrize("beta", BETAS)
@@ -73,8 +76,8 @@ class TestInnerIntegrals:
         # the flat half-space; the relative deficit is ~0.81/(sqrt(beta) R).
         m = mimo_mrc_2x2(1.0)
         R = 10.0
-        num = inner_face(R, m)
-        closed = inner_face_closed_form(R, 1.0)
+        num = inner_face(R, m, R)
+        closed = inner_face_closed_form(R, 1.0, R)
         deficit = (closed - num) / closed
         assert 0.05 < deficit < 0.12
         assert_allclose(deficit, 0.81 / R, rtol=0.15)
@@ -88,32 +91,24 @@ class TestInnerIntegrals:
         m = rayleigh(1.0, 2.0)
         assert_allclose(inner_bulk(m), np.pi**1.5, rtol=1e-8)
 
-    def test_corner_probe_validation(self):
+    def test_face_probe_validation(self):
         m = mimo_mrc_2x2(1.0)
         with pytest.raises(ValueError):
-            inner_corner(np.pi / 2, m, theta2=3.0)
-        with pytest.raises(ValueError):
-            inner_corner(-0.1, m)
-        with pytest.raises(ValueError):
-            inner_face(-1.0, m)
-
-    @pytest.mark.parametrize("theta", THETAS)
-    def test_hard_disk_at_apex(self, theta):
-        # The wedge holds theta / (4 pi) of the ball of radius r0 (z >= 0) at a
-        # corner, and twice that at an edge.
-        r0 = 1.3
-        m = hard_disk(r0)
-        assert_allclose(inner_corner(theta, m), theta * r0**3 / 3.0, rtol=1e-12)
-        assert_allclose(inner_edge(theta, m), 2.0 * theta * r0**3 / 3.0, rtol=1e-12)
+            inner_face(-1.0, m, -1.0)
+        for r2 in (-0.1, 10.1):
+            with pytest.raises(ValueError):
+                inner_face(10.0, m, r2)
 
     def test_hard_disk_off_apex_needs_slope(self):
         m = hard_disk(1.0)
+        assert inner_face(10.0, m, 10.0) == _face_zeroth(10.0, m)
         with pytest.raises(ModelError):
-            inner_corner(np.pi / 2, m, r2=0.1)
+            inner_face(10.0, m, 9.9)
+
+    def test_hard_disk_has_no_wedge_j(self):
+        # J2 and J3 integrate H', which a hard disk does not have.
         with pytest.raises(ModelError):
-            inner_corner(np.pi / 2, m, z2=0.1)
-        with pytest.raises(ModelError):
-            inner_edge(np.pi / 2, m, r2=0.1)
+            _wedge_j_integrals(hard_disk(1.0))
 
 
 class TestOuterIntegrals:
@@ -243,9 +238,9 @@ class TestValidationSuite:
         assert len(inner) == 2 * len(BETAS) * len(THETAS)
         for r in inner:
             p = dict(r.params)
-            model = mimo_mrc_2x2(p.pop("beta"))
-            public = inner_corner if r.kind == "inner_corner" else inner_edge
-            assert r.quadrature == public(model=model, **p), (r.kind, r.params)
+            J = wedge(mimo_mrc_2x2(p.pop("beta")))
+            J = J if r.kind == "inner_corner" else _edge_j(J)
+            assert r.quadrature == _wedge_mass(J=J, **p), (r.kind, r.params)
         bulk = [r for r in rows if r.kind == "inner_bulk"]
         assert [r.params["beta"] for r in bulk] == list(BETAS)
         for r in bulk:
