@@ -55,6 +55,11 @@ def _corner_scale(theta: float, A: float) -> float:
     return 32.0 * np.pi**2 / (theta * A**3)
 
 
+def _model_overflow(model: ConnectivityModel) -> OverflowError:
+    """The error for a model whose closed-form prefactor or rate is not a finite float."""
+    return OverflowError(f"the closed-form terms overflow for the model {model.to_spec()}")
+
+
 def _check_theta(theta: float):
     if not 0.0 < theta <= np.pi - THETA_EPS:
         raise ClosedFormUnavailableError(
@@ -95,15 +100,20 @@ def term(feature: BoundaryFeature, model: ConnectivityModel) -> ContributionTerm
     theta = feature.dihedral
     if feature.codim >= 2:
         _check_theta(theta)
-    if feature.codim == 0:
-        pref = feature.measure
-    elif feature.codim == 1:
-        pref = feature.measure / _boundary_mass(model)
-    elif feature.codim == 2:
-        pref = 4.0 * feature.measure / (_boundary_mass(model) ** 2 * math.sin(theta))
-    else:
-        pref = _corner_scale(theta, _boundary_mass(model)) * corner_shape_function(theta)
-    rate = feature.solid_angle / (4.0 * np.pi) * bulk_mass(model)
+    try:
+        if feature.codim == 0:
+            pref = feature.measure
+        elif feature.codim == 1:
+            pref = feature.measure / _boundary_mass(model)
+        elif feature.codim == 2:
+            pref = 4.0 * feature.measure / (_boundary_mass(model) ** 2 * math.sin(theta))
+        else:
+            pref = _corner_scale(theta, _boundary_mass(model)) * corner_shape_function(theta)
+        rate = feature.solid_angle / (4.0 * np.pi) * bulk_mass(model)
+    except (OverflowError, ZeroDivisionError):  # a power of A or of 1/beta leaves the floats
+        raise _model_overflow(model) from None
+    if not (math.isfinite(pref) and math.isfinite(rate)):
+        raise _model_overflow(model)
     return ContributionTerm(feature.label, feature.codim, pref, rate, feature.multiplicity)
 
 

@@ -58,6 +58,12 @@ class ConnectivityModel:
         """True when H is differentiable (needed by the quadrature oracle)."""
         return self.family != HARD_DISK
 
+    def to_spec(self) -> dict:
+        """The spec ``model_from_spec`` builds this model from."""
+        if self.family == HARD_DISK:
+            return {"family": HARD_DISK, "r0": self.r0}
+        return {"family": self.family, "beta": self.beta, "eta": self.eta}
+
 
 def mimo_mrc_2x2(beta: float) -> ConnectivityModel:
     return ConnectivityModel(MIMO_MRC_2X2, float(beta), 2.0)

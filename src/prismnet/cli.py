@@ -11,8 +11,8 @@ Each invocation is resolved once into a checked ``Job``: the flags, with a
 is the only place a spec given as text is parsed; the library takes dicts.
 
 Exit codes: 0 ok, 1 validation-suite failure, 2 config error, 3 numeric
-failure (a quadrature that misses its tolerance, or a closed-form outage that
-overflows).
+failure (a quadrature that misses its tolerance, or a closed-form outage or
+term that overflows).
 """
 
 from __future__ import annotations

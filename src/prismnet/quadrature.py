@@ -5,8 +5,10 @@ of the link mass integral near a boundary feature (the "inner" integral),
 and an outer integral of exp(-rho * inner) over the feature's local
 coordinate patch.  This module evaluates both steps by adaptive quadrature
 so the closed forms can be validated independently: ``analytic`` writes
-every smooth model's terms in two full-space masses, while this module
-integrates H and H' with none of that algebra.
+every smooth model's terms in two full-space masses, M and A, while this
+module integrates H and H' with none of that algebra.  The inner rows
+compare against ``analytic``'s own numbers, for any smooth link family:
+the feature's exponent rate plus A times the probe's depths.
 
 Every inner integral is one radial quadrature of H or H' against a
 polynomial weight: the angular and chord coordinates of the wedge, face and
@@ -24,7 +26,7 @@ import numpy as np
 from scipy import integrate
 
 from . import analytic
-from .channel import ConnectivityModel, ModelError, bulk_mass, h, h_prime, mimo_mrc_2x2
+from .channel import ConnectivityModel, ModelError, face_mass, h, h_prime, mimo_mrc_2x2
 from .geometry import BoundaryFeature
 
 # Beyond beta * r^eta = 50 the link probability is below 1e-18 for every
@@ -92,24 +94,6 @@ def _wedge_mass(theta: float, J, r2: float, theta2: float, z2: float = 0.0) -> f
     return theta * J1 - theta * z2 * J2 - r2 * ang * J3
 
 
-def inner_corner_closed_form(
-    theta: float, beta: float, r2: float, theta2: float, z2: float
-) -> float:
-    """Closed-form wedge link mass for the 2x2 MIMO MRC family (eta = 2)."""
-    return (
-        14.0 * z2 * theta
-        + 0.5 * (23.0 - math.sqrt(2.0)) * math.sqrt(np.pi / beta) * theta
-        + 7.0 * np.pi * r2 * (math.sin(theta2) - math.sin(theta2 - theta))
-    ) / (8.0 * beta)
-
-
-def inner_edge_closed_form(theta: float, beta: float, r2: float, theta2: float) -> float:
-    return (
-        0.5 * (23.0 - math.sqrt(2.0)) * math.sqrt(np.pi / beta) * theta
-        + 7.0 * np.pi * r2 * (math.sin(theta2) - math.sin(theta2 - theta))
-    ) / (4.0 * beta)
-
-
 def _face_zeroth(R: float, model: ConnectivityModel) -> float:
     """Link mass over the ball of radius R from a probe on its surface.
 
@@ -144,20 +128,7 @@ def inner_face(R: float, model: ConnectivityModel, r2: float) -> float:
         raise ValueError("sphere radius must be positive")
     if not 0.0 <= r2 <= R:
         raise ValueError("probe radius must lie in [0, R]")
-    if not model.smooth and r2 != R:
-        raise ModelError("first-order terms need a differentiable H")
-    zeroth = _face_zeroth(R, model)
-    if r2 == R:
-        return zeroth
-    return zeroth + (r2 - R) * _face_slope(R, model)
-
-
-def inner_face_closed_form(R: float, beta: float, r2: float) -> float:
-    return (
-        np.pi
-        / (4.0 * beta)
-        * (0.5 * (23.0 - math.sqrt(2.0)) * math.sqrt(np.pi / beta) + 14.0 * (R - r2))
-    )
+    return _face_zeroth(R, model) + (r2 - R) * _face_slope(R, model)
 
 
 def inner_bulk(model: ConnectivityModel) -> float:
@@ -226,56 +197,82 @@ class ValidationRow:
         return self.rel_error <= self.rel_tol
 
 
+def _rate(feature: BoundaryFeature, model: ConnectivityModel) -> float:
+    return analytic.term(feature, model).exponent_rate
+
+
+def _closed_wedge(
+    model: ConnectivityModel, codim: int, theta: float, r2: float, theta2: float, z2: float = 0.0
+) -> float:
+    """``analytic``'s first-order link mass at the probe (r2, theta2, z2) of a
+    corner (codim 3) or an edge (codim 2), written apart from ``_wedge_mass``.
+
+    The feature's exponent rate plus A = face_mass(model) times the probe's
+    depths: A r2 (sin theta2 + sin(theta - theta2)) / 4 + theta z2 A / 2 pi
+    at a corner.  An edge's z runs over the whole line, so its r2 term is
+    twice a corner's and it has no z2 term.
+    """
+    ang = math.sin(theta2) + math.sin(theta - theta2)
+    depth = r2 * ang / 2.0 if codim == 2 else r2 * ang / 4.0 + theta * z2 / (2.0 * np.pi)
+    rate = _rate(BoundaryFeature(codim=codim, measure=1.0, dihedral=theta), model)
+    return rate + face_mass(model) * depth
+
+
+def _closed_face(model: ConnectivityModel, R: float, r2: float) -> float:
+    """``analytic``'s link mass at depth R - r2 below a flat face: M/2 + A (R - r2)."""
+    return _rate(BoundaryFeature(codim=1, measure=1.0), model) + face_mass(model) * (R - r2)
+
+
+def _inner_rows(model: ConnectivityModel) -> list[ValidationRow]:
+    """Quadrature vs ``analytic``'s first-order masses for one smooth model.
+
+    Three corner rows, three edge rows at theta in {pi/3, pi/2, 3pi/4}, one
+    face row and one bulk row.  A wedge probe lies d = 0.05 r0 from the
+    edge, a corner's also d above the apex; the face probe lies d below a
+    sphere 1e6 / sqrt(beta) in radius, so large that its curvature deficit
+    is far below the tolerance.  One J triple serves the corner, edge and
+    bulk rows.
+    """
+    beta, d = model.beta, 0.05 * model.r0
+    corner_j = _wedge_j_integrals(model)
+    rows = []
+    wedges = (("inner_corner", 3, corner_j, {"z2": d}), ("inner_edge", 2, _edge_j(corner_j), {}))
+    for kind, codim, J, height in wedges:
+        for theta in (np.pi / 3, np.pi / 2, 3 * np.pi / 4):
+            probe = {"r2": d, "theta2": 0.3 * theta, **height}
+            rows.append(
+                ValidationRow(
+                    kind,
+                    {"beta": beta, "theta": theta, **probe},
+                    _closed_wedge(model, codim, theta, **probe),
+                    _wedge_mass(theta, J, **probe),
+                    1e-4,
+                )
+            )
+    R = 1e6 / math.sqrt(beta)
+    rows.append(
+        ValidationRow(
+            "inner_face",
+            {"beta": beta, "R": R, "r2": R - d},
+            _closed_face(model, R, R - d),
+            inner_face(R, model, R - d),
+            1e-4,
+        )
+    )
+    bulk = 4.0 * np.pi * corner_j[0]  # inner_bulk(model): J1 is its moment int s^2 H
+    rate = _rate(BoundaryFeature(codim=0, measure=1.0), model)
+    rows.append(ValidationRow("inner_bulk", {"beta": beta}, rate, bulk, 1e-8))
+    return rows
+
+
 def validation_suite() -> list[ValidationRow]:
     """Closed form vs quadrature for every inner and outer integral kind.
 
-    Inner comparisons run across the (beta, theta) grid beta in {0.5, 1, 2},
-    theta in {pi/3, pi/2, 3pi/4}; outer comparisons run at beta = 1 and
-    rho = 1 against the analytic terms.  The wedge J-integrals of each beta
-    are integrated once and serve all its corner, edge and bulk rows.
+    The inner rows (``_inner_rows``) run at beta in {0.5, 1, 2}; outer
+    comparisons run at beta = 1 and rho = 1 against the analytic terms.
+    Every closed form is ``analytic``'s, for the 2x2 MIMO MRC link.
     """
-    rows: list[ValidationRow] = []
-    thetas = (np.pi / 3, np.pi / 2, 3 * np.pi / 4)
-    for beta in (0.5, 1.0, 2.0):
-        model = mimo_mrc_2x2(beta)
-        r2 = 0.05 * model.r0
-        z2 = 0.05 * model.r0
-        corner_j = _wedge_j_integrals(model)
-        edge_j = _edge_j(corner_j)
-        for theta in thetas:
-            t2 = 0.3 * theta
-            rows.append(
-                ValidationRow(
-                    "inner_corner",
-                    {"beta": beta, "theta": theta, "r2": r2, "theta2": t2, "z2": z2},
-                    inner_corner_closed_form(theta, beta, r2, t2, z2),
-                    _wedge_mass(theta, corner_j, r2, t2, z2),
-                    1e-4,
-                )
-            )
-        for theta in thetas:
-            t2 = 0.3 * theta
-            rows.append(
-                ValidationRow(
-                    "inner_edge",
-                    {"beta": beta, "theta": theta, "r2": r2, "theta2": t2},
-                    inner_edge_closed_form(theta, beta, r2, t2),
-                    _wedge_mass(theta, edge_j, r2, t2),
-                    1e-4,
-                )
-            )
-        Rbig = 1e6 / math.sqrt(beta)
-        rows.append(
-            ValidationRow(
-                "inner_face",
-                {"beta": beta, "R": Rbig, "r2": Rbig - 0.05 * model.r0},
-                inner_face_closed_form(Rbig, beta, Rbig - 0.05 * model.r0),
-                inner_face(Rbig, model, Rbig - 0.05 * model.r0),
-                1e-4,
-            )
-        )
-        bulk = 4.0 * np.pi * corner_j[0]  # inner_bulk(model): J1 is its moment int s^2 H
-        rows.append(ValidationRow("inner_bulk", {"beta": beta}, bulk_mass(model), bulk, 1e-8))
+    rows = [row for beta in (0.5, 1.0, 2.0) for row in _inner_rows(mimo_mrc_2x2(beta))]
 
     # Outer integrals at beta = 1: the closed-form term against quadrature
     # over the same feature.  The face is compared on a sphere large enough

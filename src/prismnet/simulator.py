@@ -95,7 +95,7 @@ class SimConfig:
 @dataclass(frozen=True)
 class SimResult:
     domain_spec: dict
-    model_family: str
+    model_spec: dict
     rho: float
     n: int
     n_trials: int
@@ -124,7 +124,7 @@ class SimResult:
     def to_dict(self) -> dict:
         return {
             "domain": self.domain_spec,
-            "model_family": self.model_family,
+            "model": self.model_spec,
             "rho": self.rho,
             "n": self.n,
             "trials": self.n_trials,
@@ -190,12 +190,12 @@ def estimate(config: SimConfig, workers: int = 1) -> SimResult:
     need = _kernel.workspace_bytes(config.n)
     workers = min(workers, config.trials, int(PHYSICAL_MEMORY // need))
     if workers > 1:
-        chunks = np.linspace(0, config.trials, workers + 1, dtype=int)
+        # Integer bounds: exact for any trial count, where float64 drops trials past 2**53.
+        bounds = [config.trials * k // workers for k in range(workers + 1)]
         fc = deg_ok = 0
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_count_range, config, int(a), int(b))
-                for a, b in zip(chunks[:-1], chunks[1:])
+                pool.submit(_count_range, config, a, b) for a, b in zip(bounds[:-1], bounds[1:])
             ]
             for fut in futures:
                 f, d = fut.result()
@@ -206,7 +206,7 @@ def estimate(config: SimConfig, workers: int = 1) -> SimResult:
     wall = time.perf_counter() - t0
     return SimResult(
         domain_spec=config.domain.to_spec(),
-        model_family=config.model.family,
+        model_spec=config.model.to_spec(),
         rho=config.rho,
         n=config.n,
         n_trials=config.trials,

@@ -146,6 +146,13 @@ def runner():
     return CliRunner()
 
 
+def model_overflow(beta: str) -> str:
+    return (
+        "the closed-form terms overflow for the model "
+        f"{{'family': 'mimo_mrc_2x2', 'beta': {float(beta)!r}, 'eta': 2.0}}"
+    )
+
+
 def assert_one_line_config_error(res):
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit), res.exception
@@ -504,16 +511,46 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["analytic", "--domain", HOUSE, "--model", MODEL, "--rho-list", "1e-300,1e-200"],
-             "the closed-form outage overflows at density 1e-300"),
-            (["phase-map", "--rho-list", "1e-300", "--length-list", "5"],
-             "the closed-form outage overflows at density 1e-300"),
+            pytest.param(
+                ["analytic", "--domain", HOUSE, "--model", MODEL, "--rho-list", "1e-300,1e-200"],
+                "the closed-form outage overflows at density 1e-300",
+                id="analytic",
+            ),
+            pytest.param(
+                ["phase-map", "--rho-list", "1e-300", "--length-list", "5"],
+                "the closed-form outage overflows at density 1e-300",
+                id="phase-map",
+            ),
             # Every term is finite, but U + F exceeds the largest float.
-            (["analytic", "--domain", '{"kind":"house","L":5.23e102}',
-              "--model", '{"family":"mimo_mrc_2x2","beta":4e101}', "--rho-list", "1"],
-             "the closed-form outage overflows at density 1"),
+            pytest.param(
+                ["analytic", "--domain", '{"kind":"house","L":5.23e102}',
+                 "--model", '{"family":"mimo_mrc_2x2","beta":4e101}', "--rho-list", "1"],
+                "the closed-form outage overflows at density 1",
+                id="analytic-sum",
+            ),
+            # A power of A = face_mass or of 1/beta leaves the floats: the
+            # corner's A^3 underflows to 0 at beta 1e150, is subnormal at 1e104
+            # (its prefactor divides to inf with no exception) and overflows
+            # at 1e-150, and bulk_mass overflows at 1e-250.
+            *[
+                pytest.param(
+                    [cmd, "--domain", HOUSE, "--model", f'{{"family":"mimo_mrc_2x2","beta":{b}}}',
+                     "--rho-list", "1", *sim],
+                    model_overflow(b),
+                    id=f"{cmd}-beta-{b}",
+                )
+                for cmd, sim in (("analytic", ()), ("compare", ("--trials", "1", "--threads", "1")))
+                for b in ("1e150", "1e104", "1e-150", "1e-250")
+            ],
+            *[
+                pytest.param(
+                    ["phase-map", "--beta", b, "--rho-list", "1", "--length-list", "5"],
+                    model_overflow(b),
+                    id=f"phase-map-beta-{b}",
+                )
+                for b in ("1e150", "1e-150")
+            ],
         ],
-        ids=["analytic", "phase-map", "analytic-sum"],
     )
     def test_overflowing_terms_exit_3(self, runner, tmp_path, argv, message):
         res = runner.invoke(main, argv + ["--out", str(tmp_path / "out")])

@@ -20,16 +20,16 @@ from prismnet.channel import (
 from prismnet.geometry import BoundaryFeature, build_house
 from prismnet.quadrature import (
     QuadratureError,
+    _closed_face,
+    _closed_wedge,
     _edge_j,
     _face_slope,
     _face_zeroth,
+    _inner_rows,
     _wedge_j_integrals,
     _wedge_mass,
     inner_bulk,
-    inner_corner_closed_form,
-    inner_edge_closed_form,
     inner_face,
-    inner_face_closed_form,
     outer_integral,
     r_max,
     validation_suite,
@@ -40,8 +40,8 @@ THETAS = (np.pi / 3, np.pi / 2, 3 * np.pi / 4)
 
 
 class TestInnerIntegrals:
-    # The wedge rows of validation_suite: the first-order mass from the
-    # quadrature J triple against the MIMO closed forms, at other probes.
+    # The wedge rows of validation_suite at other probes: the first-order
+    # mass from the quadrature J triple against analytic's rate and face mass.
     @pytest.mark.parametrize("beta", BETAS)
     @pytest.mark.parametrize("theta", THETAS)
     def test_corner(self, beta, theta):
@@ -49,7 +49,7 @@ class TestInnerIntegrals:
         r2, t2, z2 = 0.07 * m.r0, 0.4 * theta, 0.11 * m.r0
         assert_allclose(
             _wedge_mass(theta, _wedge_j_integrals(m), r2, t2, z2),
-            inner_corner_closed_form(theta, beta, r2, t2, z2),
+            _closed_wedge(m, 3, theta, r2, t2, z2),
             rtol=1e-4,
         )
 
@@ -60,7 +60,7 @@ class TestInnerIntegrals:
         r2, t2 = 0.07 * m.r0, 0.4 * theta
         assert_allclose(
             _wedge_mass(theta, _edge_j(_wedge_j_integrals(m)), r2, t2),
-            inner_edge_closed_form(theta, beta, r2, t2),
+            _closed_wedge(m, 2, theta, r2, t2),
             rtol=1e-4,
         )
 
@@ -69,7 +69,7 @@ class TestInnerIntegrals:
         m = mimo_mrc_2x2(beta)
         R = 1e6 / math.sqrt(beta)
         r2 = R - 0.08 * m.r0
-        assert_allclose(inner_face(R, m, r2), inner_face_closed_form(R, beta, r2), rtol=1e-4)
+        assert_allclose(inner_face(R, m, r2), _closed_face(m, R, r2), rtol=1e-4)
 
     def test_face_curvature_deficit(self):
         # At finite R the spherical region holds strictly less link mass than
@@ -77,7 +77,7 @@ class TestInnerIntegrals:
         m = mimo_mrc_2x2(1.0)
         R = 10.0
         num = inner_face(R, m, R)
-        closed = inner_face_closed_form(R, 1.0, R)
+        closed = _closed_face(m, R, R)
         deficit = (closed - num) / closed
         assert 0.05 < deficit < 0.12
         assert_allclose(deficit, 0.81 / R, rtol=0.15)
@@ -99,11 +99,27 @@ class TestInnerIntegrals:
             with pytest.raises(ValueError):
                 inner_face(10.0, m, r2)
 
-    def test_hard_disk_off_apex_needs_slope(self):
-        m = hard_disk(1.0)
-        assert inner_face(10.0, m, 10.0) == _face_zeroth(10.0, m)
-        with pytest.raises(ModelError):
-            inner_face(10.0, m, 9.9)
+    def test_hard_disk_face_needs_slope(self):
+        # The first-order face mass integrates H' at every probe, the
+        # surface included.
+        for r2 in (10.0, 9.9):
+            with pytest.raises(ModelError):
+                inner_face(10.0, hard_disk(1.0), r2)
+
+    @pytest.mark.parametrize(
+        "model",
+        [rayleigh(1.0, 2.0), rayleigh(0.7, 3.0), mimo_mrc_2x2(1.3)],
+        ids=["rayleigh-2", "rayleigh-3", "mimo-1.3"],
+    )
+    def test_rows_for_any_smooth_family(self, model):
+        # validation_suite's inner rows for models off its grid, at its tolerances.
+        rows = _inner_rows(model)
+        assert [r.kind for r in rows] == ["inner_corner"] * 3 + ["inner_edge"] * 3 + [
+            "inner_face",
+            "inner_bulk",
+        ]
+        failing = [(r.kind, r.params, r.rel_error) for r in rows if not r.passed]
+        assert failing == []
 
     def test_hard_disk_has_no_wedge_j(self):
         # J2 and J3 integrate H', which a hard disk does not have.

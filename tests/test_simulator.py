@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.spatial.distance import pdist
 
 from prismnet import simulator
-from prismnet.channel import h_of_d2, hard_disk, mimo_mrc_2x2, rayleigh
+from prismnet.channel import h_of_d2, hard_disk, mimo_mrc_2x2, model_from_spec, rayleigh
 from prismnet.geometry import Polygon2D, build_half_cylinder, build_house, build_right_prism
 from prismnet.simulator import (
     _count_range,
@@ -415,6 +415,38 @@ class TestWorkers:
         assert (r.fc_count, r.min_deg_ge1_count) == (4, 4)
         assert pools == [2]
 
+    @pytest.mark.parametrize("trials", [10**23, 2**53 + 1], ids=["1e23", "2**53+1"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_chunks_tile_the_trials(self, monkeypatch, trials, workers):
+        # The pool records each submitted range and runs none of them.
+        ranges = []
+
+        class Done:
+            def result(self):
+                return 0, 0
+
+        class Recording:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, config, start, stop):
+                ranges.append((start, stop))
+                return Done()
+
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", Recording)
+        cfg = SimConfig(domain=build_house(2.0), model=mimo_mrc_2x2(1.0), trials=trials, rho=1.0)
+        assert estimate(cfg, workers).n_trials == trials
+        assert len(ranges) == workers
+        starts, stops = zip(*ranges)
+        assert starts[0] == 0 and starts[1:] == stops[:-1] and stops[-1] == trials
+        assert all(type(a) is int and a < b for a, b in ranges)
+
 
 class TestBackends:
     def test_backend_exposed(self):
@@ -518,6 +550,17 @@ class TestStatistics:
         assert d["trials"] == 100
         assert_allclose(d["p_fc_hat"] + d["p_out_hat"], 1.0)
         assert_allclose(d["std_err"], math.sqrt(r.p_fc_hat * (1 - r.p_fc_hat) / 100))
+
+    @pytest.mark.parametrize(
+        "model",
+        [mimo_mrc_2x2(1.3), rayleigh(0.7, 3.0), hard_disk(0.8)],
+        ids=["mimo", "rayleigh", "hard_disk"],
+    )
+    def test_result_names_the_model(self, model):
+        cfg = SimConfig(domain=build_house(2.0), model=model, trials=2, rho=1.0)
+        d = estimate(cfg).to_dict()
+        assert d["domain"] == cfg.domain.to_spec()
+        assert model_from_spec(d["model"]) == model
 
     def test_sweep_requires_increasing(self):
         with pytest.raises(SimulationError):
