@@ -3,9 +3,10 @@
 Analytic boundary-component expansion, Monte Carlo simulation, and a
 quadrature oracle that cross-validates the two.
 
-``quadrature`` (scipy.integrate) and ``simulator`` (scipy.spatial), and the
-names re-exported from ``simulator``, load on first access, so that importing
-the package, or a command that needs neither, loads no scipy.
+``quadrature`` and ``simulator``, and the names re-exported from
+``simulator``, load on first access.  Only ``simulator`` loads scipy
+(scipy.spatial), so importing the package, or any command but ``simulate``
+and ``compare``, loads no scipy; the quadrature oracle runs on numpy alone.
 """
 
 import importlib

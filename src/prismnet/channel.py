@@ -61,7 +61,13 @@ class ConnectivityModel:
     def to_spec(self) -> dict:
         """The spec ``model_from_spec`` builds this model from."""
         if self.family == HARD_DISK:
-            return {"family": HARD_DISK, "r0": self.r0}
+            # beta = r0**-2 rounds, so beta**-0.5 can miss r0 by an ulp: write
+            # the neighbour that ``hard_disk`` maps back to this beta.
+            r0 = self.r0
+            for r in (r0, math.nextafter(r0, 0.0), math.nextafter(r0, math.inf)):
+                if r**-2 == self.beta:
+                    return {"family": HARD_DISK, "r0": r}
+            return {"family": HARD_DISK, "r0": r0}
         return {"family": self.family, "beta": self.beta, "eta": self.eta}
 
 
@@ -85,18 +91,9 @@ def hard_disk(r0: float) -> ConnectivityModel:
 
 
 def _distance(r):
-    """r as float64, checked non-negative: a numpy scalar when r is a float.
-
-    The quadrature calls H and H' on one Python float at a time, so a float
-    skips the 0-d array; a numpy scalar runs the same ufuncs as an array.
-    """
-    if isinstance(r, float):
-        r = np.float64(r)
-        negative = r < 0
-    else:
-        r = np.asarray(r, dtype=float)
-        negative = np.any(r < 0)
-    if negative:
+    """r as a float64 array, checked non-negative."""
+    r = np.asarray(r, dtype=float)
+    if (r < 0).any():
         raise ModelError("distance must be non-negative")
     return r
 

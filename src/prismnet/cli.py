@@ -11,8 +11,8 @@ Each invocation is resolved once into a checked ``Job``: the flags, with a
 is the only place a spec given as text is parsed; the library takes dicts.
 
 Exit codes: 0 ok, 1 validation-suite failure, 2 config error, 3 numeric
-failure (a quadrature that misses its tolerance, or a closed-form outage or
-term that overflows).
+failure (a quadrature that needs more than 200 panels to meet its tolerance,
+or a closed-form outage or term that overflows).
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# Commands import the quadrature and simulator modules, which load scipy,
-# only when they run; so the errors are caught by their base classes.
+# Commands import the quadrature and simulator modules only when they run
+# (the simulator loads scipy); so the errors are caught by their base classes.
 _CONFIG_ERRORS = (InputError, click.UsageError)
 # Numeric failures: QuadratureError and a closed form's OverflowError.
 _NUMERIC_ERRORS = ArithmeticError

@@ -1,9 +1,12 @@
 """Link families: H(r) values, monotonicity, scaling, connection masses."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import integrate
 
@@ -270,6 +273,21 @@ class TestSpecs:
     def test_fields_are_json_numbers(self, spec, message):
         with pytest.raises(ModelError, match=message):
             model_from_spec(spec)
+
+    def test_hard_disk_spec_rebuilds_its_beta(self):
+        # beta**-0.5 is one ulp above this r0; the spec writes the r0 whose
+        # r0**-2 gives the model's beta back.
+        m = hard_disk(63.91027692934009)
+        assert m.beta**-0.5 != 63.91027692934009
+        assert m.to_spec() == {"family": "hard_disk", "r0": 63.91027692934009}
+        assert model_from_spec(m.to_spec()) == m
+
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(st.floats(math.log(1e-150), math.log(1e150)).map(math.exp))
+    def test_hard_disk_spec_round_trip(self, r0):
+        m = hard_disk(r0)
+        spec = json.loads(json.dumps(m.to_spec()))
+        assert model_from_spec(spec) == m
 
     def test_numpy_scalars_are_numbers(self):
         m = model_from_spec({"family": "rayleigh", "beta": np.int64(2), "eta": np.float32(3.0)})

@@ -43,8 +43,9 @@ def test_cli_import_loads_no_scipy():
           "--plot"],
          "analytic_components.csv"),
         (["phase-map", "--rho-list", "0.5,1", "--length-list", "3,5", "--plot"], "phase_map.csv"),
+        (["validate"], "validation.csv"),
     ],
-    ids=["analytic", "phase-map"],
+    ids=["analytic", "phase-map", "validate"],
 )
 def test_closed_form_commands_load_no_scipy(tmp_path, argv, output):
     argv = argv + ["--out", "out"]
@@ -78,4 +79,4 @@ except AttributeError:
 else:
     raise AssertionError("prismnet.no_such_name resolved")
 """
-    assert "scipy.integrate" in scipy_loaded_by(code)
+    assert "scipy.integrate" not in scipy_loaded_by(code)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from numpy.testing import assert_allclose
 from scipy import integrate
 
@@ -17,8 +18,10 @@ from prismnet.channel import (
     mimo_mrc_2x2,
     rayleigh,
 )
+from prismnet.cli import main
 from prismnet.geometry import BoundaryFeature, build_house
 from prismnet.quadrature import (
+    _QUAD_OPTS,
     QuadratureError,
     _closed_face,
     _closed_wedge,
@@ -26,6 +29,10 @@ from prismnet.quadrature import (
     _face_slope,
     _face_zeroth,
     _inner_rows,
+    _kronrod,
+    _quad,
+    _radial,
+    _square,
     _wedge_j_integrals,
     _wedge_mass,
     inner_bulk,
@@ -37,6 +44,79 @@ from prismnet.quadrature import (
 
 BETAS = (0.5, 1.0, 2.0)
 THETAS = (np.pi / 3, np.pi / 2, 3 * np.pi / 4)
+
+
+def counted(func):
+    """func, recording the nodes of each call in ``.calls``."""
+
+    def wrapper(x):
+        wrapper.calls.append(x.size)
+        return func(x)
+
+    wrapper.calls = []
+    return wrapper
+
+
+class TestIntegrator:
+    @pytest.mark.parametrize("degree", range(31))
+    def test_kronrod_exact_on_one_panel(self, degree):
+        # K21 integrates x^d exactly up to d = 31; G10 up to d = 19, so the
+        # error column is rounding there and not above.
+        a, b = 0.25, 1.75
+        (value, err), = _kronrod(lambda x: x**degree, np.array([1.0]), np.array([0.75]))[0]
+        exact = (b ** (degree + 1) - a ** (degree + 1)) / (degree + 1)
+        assert_allclose(value, exact, rtol=1e-14)
+        if degree < 20:
+            assert err <= 1e-14 * exact
+        else:
+            assert err > 1e-13 * exact
+
+    def test_polynomial_in_one_pass(self):
+        rng = np.random.default_rng(5)
+        poly = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, 31))
+        f = counted(poly)
+        exact = poly.integ()(2.0) - poly.integ()(-1.0)
+        assert_allclose(_quad(f, -1.0, 2.0), exact, rtol=1e-13)
+        assert len(f.calls) == 1
+
+    def test_narrow_gaussian_subdivides(self):
+        mu, sigma = 0.3, 1e-3
+        f = counted(lambda x: np.exp(-0.5 * ((x - mu) / sigma) ** 2))
+        z = sigma * math.sqrt(2.0)
+        exact = sigma * math.sqrt(0.5 * np.pi) * (math.erf((1.0 - mu) / z) + math.erf(mu / z))
+        assert_allclose(_quad(f, 0.0, 1.0), exact, rtol=1e-11)
+        # Of the 8 first panels only [0.25, 0.375], which holds mu, is split.
+        assert f.calls[:2] == [8 * 21, 2 * 21]
+
+    def test_stacked_rows_equal_separate_integrals(self):
+        gauss = lambda x: np.exp(-0.5 * ((x - 0.3) / 1e-2) ** 2)  # noqa: E731
+        smooth = lambda x: x * np.exp(-x)  # noqa: E731
+        both = _quad(lambda x: (gauss(x), smooth(x)), 0.0, 1.0)
+        assert_allclose(both, [_quad(gauss, 0.0, 1.0), _quad(smooth, 0.0, 1.0)], rtol=1e-14)
+        m = mimo_mrc_2x2(1.0)
+        J1, J2, _ = _wedge_j_integrals(m)
+        separate = (_radial(m, _square), 0.5 * _radial(m, _square, slope=True))
+        assert_allclose((J1, J2), separate, rtol=1e-14)
+
+    def test_divergent_integrand_raises_within_limit(self):
+        f = counted(lambda x: 1.0 / x)
+        with pytest.raises(QuadratureError, match="needs more than 200 panels"):
+            _quad(f, 0.0, 1.0)
+        # A pass evaluates only open panels, and each split replaces one.
+        assert sum(f.calls) <= 21 * 2 * _QUAD_OPTS["limit"]
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(QuadratureError, match="not finite"):
+            _quad(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
+
+    def test_validate_exits_3_past_the_limit(self, monkeypatch, tmp_path):
+        monkeypatch.setitem(_QUAD_OPTS, "limit", 1)
+        res = CliRunner().invoke(main, ["validate", "--out", str(tmp_path / "out")])
+        assert res.exit_code == 3, res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        [line] = res.output.strip().splitlines()
+        assert line.startswith("Error: quadrature on [") and line.endswith("needs more than 1 panels")
+        assert not (tmp_path / "out").exists()
 
 
 class TestInnerIntegrals:
