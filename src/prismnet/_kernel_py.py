@@ -6,13 +6,14 @@ batch lays its trials' pairs end to end, so pair p of trial t is batch pair
 t P + p, with P = n(n-1)/2; it is linked when u < H(|x_i - x_j|), where u
 is the p-th uniform drawn from trial t's own generator.
 
-The uniforms, H and the link test run over blocks of BLOCK batch pairs, so
-their buffers stay in cache and live in a ``Workspace`` that a run of
-batches reuses; only the squared distances span all pairs.  A block may
+The uniforms, H and the link test run over blocks of BLOCK batch pairs,
+so their temporaries stay in cache; only the squared distances, which a
+``Workspace`` holds for a run of batches, span all pairs.  A block may
 cross trial boundaries: it draws each trial's stretch of it from that
 trial's generator, so every trial's uniforms continue one stream.  The
 batch is then decided as one graph, the disjoint union of its trials'
 graphs, on the list of linked pairs, so no n x n array is allocated.
+``workspace_bytes`` counts its worst-case peak.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 
 from .channel import ConnectivityModel, h_of_d2
 
-# Pairs per H block: a block's uniforms, its slice of d2 and its H and
-# scratch buffers, 256 KiB each, fit together in L2 cache.
+# Pairs per H block: a block's uniforms, its slice of d2 and H's two
+# temporaries, 256 KiB each, fit together in L2 cache.
 BLOCK = 1 << 15
 
 # Pairs per batch: a batch holds BATCH // P trials, at least one, so small
@@ -39,17 +40,16 @@ def batch_trials(n) -> int:
 
 
 class Workspace:
-    """Reusable buffers for batches of up to ``trials`` trials of n nodes.
+    """Reusable squared distances and index tables for batches of up to
+    ``trials`` trials of n nodes.
 
     ``d2`` holds the squared distances of all the batch's pairs, trial t's
     in ``slot(t)``, and once the links are found its bytes hold their
-    columns as intp; ``u``, ``h``, ``scratch`` and ``link`` hold one block
-    of pair uniforms, H, its intermediate and the link test.  Row r of the
-    batch is row r mod (n-1) of trial r // (n-1): ``starts[r]`` is the batch
-    pair where it begins (and ``starts[-1]`` is the batch's pair count),
-    ``nodes[r]`` its node in the batch's union graph, and ``shift[r]`` takes
-    its pairs to their columns, j = k + shift[r].
-    These and the link indices are int32 while the batch's pairs fit.
+    columns as intp.  Node v = t n + i of the batch's union graph is node i
+    of trial t: its pairs (i, j > i) start at batch pair ``starts[v]`` =
+    t P + i n - i(i+1)/2, so a trial's last node has an empty run, and
+    ``shift[v]`` takes them to their columns, j = k + shift[v].  These and
+    the link indices are int32 while the batch's pairs fit.
     """
 
     def __init__(self, n: int, trials: int):
@@ -57,20 +57,14 @@ class Workspace:
         self.trials = trials
         self.pairs = n * (n - 1) // 2
         size = trials * self.pairs
-        block = min(size, BLOCK)
         self.index = np.int32 if size < 2**31 else np.int64
         self.d2 = np.empty(size)
-        self.u = np.empty(block)
-        self.h = np.empty(block)
-        self.scratch = np.empty(block)
-        self.link = np.empty(block, dtype=bool)
-        rows = np.arange(n - 1)
-        first = np.arange(trials)[:, None]
-        starts = rows * n - rows * (rows + 1) // 2 + first * self.pairs
-        nodes = rows + first * n
-        self.starts = np.append(starts, size).astype(self.index)
-        self.nodes = nodes.ravel().astype(self.index)
-        self.shift = (nodes + 1 - starts).ravel().astype(self.index)
+        # One entry past the last node: its start is the batch's pair count.
+        v = np.arange(trials * n + 1)
+        t, i = np.divmod(v, n)
+        starts = t * self.pairs + i * n - i * (i + 1) // 2
+        self.starts = starts.astype(self.index)
+        self.shift = (v + 1 - starts).astype(self.index)
 
     def slot(self, t: int) -> np.ndarray:
         """Trial t's squared distances, in pair order."""
@@ -78,29 +72,31 @@ class Workspace:
 
 
 # The link arrays peak at four index arrays' worth of one entry per link:
-# the rows i and the link indices k, and besides them one of these: the
-# repeated row shifts that turn k into the columns j; the search's two flags
-# per link, its crossing links (intp) and the ends taken from them, which
-# cross fewer than half the pairs.  j is then copied as intp into the spent
-# squared distances and k freed.  Joining the per-block link indices holds
-# two.
+# the link starts i and the link indices k, and besides them one of these:
+# the repeated node shifts that turn k into the columns j; the search's two
+# flags per link, its crossing links (intp) and the ends taken from them,
+# which cross fewer than half the pairs.  j is then copied as intp into the
+# spent squared distances and k freed.  Joining the per-block link indices
+# holds two.
 LINK_ARRAYS = 4
-# A block's u, h, scratch and link test, and the intp indices of its links.
+# A block's uniforms, H's two temporaries, its link test and the intp
+# indices of its links.
 BLOCK_BYTES = 8 + 8 + 8 + 1 + 8
 # Per trial: its generator, about 950 bytes by tracemalloc's count, and its
 # share of the batch's bookkeeping, the sampler's included.  Per node: its
-# position (24 bytes) and the uniforms that sample it (up to 32), the row
-# tables, the degree counts, reach flags and the search's intp rows, and
-# the temporaries that build them.
+# position (24 bytes) and the uniforms that sample it (up to 32), its
+# entries in the index tables, its run length, degree count and reach
+# flag, and the temporaries that build them.
 TRIAL_BYTES = 2048
 NODE_BYTES = 120
 
 
 def workspace_bytes(n) -> float:
-    """Peak bytes of a batch of trials of n nodes when every pair links: a
-    full ``Workspace``'s squared distances and block buffers, the link
-    arrays (4-byte indices while the batch's pairs fit in int32), and the
-    trials' generators, positions and node arrays."""
+    """Peak bytes of a full batch of trials of n nodes when every pair links,
+    the simulator's one memory model: per pair, 8 bytes of squared distance
+    (later the link columns, as intp) and LINK_ARRAYS index arrays, 4-byte
+    while the batch's pairs fit in int32; BLOCK_BYTES per pair of one H
+    block; TRIAL_BYTES per trial and NODE_BYTES per node."""
     trials = batch_trials(n)
     pairs = 0.5 * n * (n - 1) * trials
     index = 4.0 if pairs < 2**31 else 8.0
@@ -121,34 +117,33 @@ def _links(rngs, model: ConnectivityModel, ws: Workspace) -> np.ndarray:
     """
     pairs = ws.pairs
     size = len(rngs) * pairs
+    u = np.empty(min(size, BLOCK))
     found = []
     for s in range(0, size, BLOCK):
         b = min(BLOCK, size - s)
         for t in range(s // pairs, (s + b - 1) // pairs + 1):
             lo, hi = max(s, t * pairs), min(s + b, (t + 1) * pairs)
-            rngs[t].random(out=ws.u[lo - s : hi - s])
-        h = h_of_d2(model, ws.d2[s : s + b], out=ws.h[:b], scratch=ws.scratch[:b])
-        k = np.flatnonzero(np.less(ws.u[:b], h, out=ws.link[:b]))
+            rngs[t].random(out=u[lo - s : hi - s])
+        k = np.flatnonzero(u[:b] < h_of_d2(model, ws.d2[s : s + b]))
         found.append(np.add(k, s, dtype=ws.index))
     return np.concatenate(found)
 
 
-def _reached(m: int, seeds, rows, per_row, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Which of the m nodes the links (i[l], j[l]) connect to a seed.
+def _reached(seeds, per_node, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Which nodes the links (i[l], j[l]) connect to a seed.
 
-    The links come in row order: ``per_row[r]`` of them start at node
-    ``rows[r]``.  Grows the set reached from the seeds by both ends of every
-    link that crosses its boundary, until no link does.  Each link's start
-    is looked up once per row and repeated over the row's links, and its end
-    j is an intp, so no take casts int32 indices; an iteration allocates
-    only the start flags and the crossing links.
+    The links come in node order: ``per_node[v]`` of them start at node v.
+    Grows the set reached from the seeds by both ends of every link that
+    crosses its boundary, until no link does.  Each link's start flag is
+    node v's repeated over its run, and its end j is an intp, so no take
+    casts int32 indices; an iteration allocates only the start flags and
+    the crossing links.
     """
-    seen = np.zeros(m, dtype=bool)
+    seen = np.zeros(per_node.size, dtype=bool)
     seen[seeds] = True
-    rows = rows.astype(np.intp)
     end_seen = np.empty(j.size, dtype=bool)
     while True:
-        start_seen = seen.take(rows).repeat(per_row)
+        start_seen = seen.repeat(per_node)
         # Every index is a node, so "clip" clips nothing; it spares take a
         # buffered copy of its output.
         seen.take(j, out=end_seen, mode="clip")
@@ -171,25 +166,23 @@ def pair_graph_stats(rngs, model: ConnectivityModel, ws: Workspace) -> tuple[np.
     if n == 1:
         return np.ones(trials, dtype=bool), np.zeros(trials, dtype=int)
     k = _links(rngs, model, ws)
-    # The links come in pair order, so each row's links are one run of them.
-    rows = trials * (n - 1)
-    cuts = np.searchsorted(k, ws.starts[: rows + 1])
-    per_row = cuts[1:] - cuts[:-1]
-    i = ws.nodes[:rows].repeat(per_row)
-    # The columns k + shift[row], built in the link indices' place.
-    k += ws.shift[:rows].repeat(per_row)
+    # The links come in pair order, so each node's links are one run of them.
+    m = trials * n
+    cuts = np.searchsorted(k, ws.starts[: m + 1])
+    per_node = cuts[1:] - cuts[:-1]
+    i = np.arange(m, dtype=ws.index).repeat(per_node)
+    # The columns k + shift[node], built in the link indices' place.
+    k += ws.shift[:m].repeat(per_node)
     # The squared distances are spent: their 8 bytes per pair take the
     # columns as intp, so that neither bincount nor the search casts them.
     j = ws.d2[: k.size].view(np.intp)
     j[...] = k
     del k
-    m = trials * n
-    degree = np.bincount(j, minlength=m)
-    degree[ws.nodes[:rows]] += per_row
+    degree = np.bincount(j, minlength=m) + per_node
     min_degree = degree.reshape(trials, n).min(axis=1)
     # An isolated node disconnects any graph of two or more nodes.
     connected = min_degree > 0
     if connected.any():
-        seen = _reached(m, np.arange(0, m, n), ws.nodes[:rows], per_row, i, j)
+        seen = _reached(np.arange(0, m, n), per_node, i, j)
         connected &= seen.reshape(trials, n).all(axis=1)
     return connected, min_degree

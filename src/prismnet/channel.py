@@ -105,24 +105,19 @@ def h(model: ConnectivityModel, r) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def h_of_d2(model: ConnectivityModel, d2, out=None, scratch=None) -> np.ndarray:
-    """Same as h() but from squared distance; the form the simulator uses.
+def h_of_d2(model: ConnectivityModel, d2) -> np.ndarray:
+    """Same as h() but from squared distance; the form the simulator and the
+    quadrature oracle use.
 
-    ``out`` receives H and ``scratch`` (MIMO only) holds an intermediate;
-    both are float arrays of d2's shape that must not overlap it.  With
-    them no array is allocated.  Without them the first steps allocate, and
-    a float64 scalar stays a scalar (other scalars become 0-d arrays).
-    Either way each step is the same floating-point operation, so the
-    values are bit-identical.
+    The first step allocates; the later ones work in place on its result, so
+    d2 is left untouched.  A scalar d2 gives a 0-d result.
     """
-    if not isinstance(d2, np.float64):
-        d2 = np.asarray(d2, dtype=float)
+    d2 = np.asarray(d2, dtype=float)
     if model.family == MIMO_MRC_2X2:
         # x = -beta d2, so e = exp(x) needs no negation pass; x*x is the same
         # either sign.
-        b = -model.beta
-        x = b * d2 if scratch is None else np.multiply(d2, b, out=scratch)
-        e = np.exp(x) if out is None else np.exp(x, out=out)
+        x = np.multiply(d2, -model.beta)
+        e = np.exp(x)
         # e * (x*x + 2 - e), built in x.
         x *= x
         x += 2.0
@@ -130,19 +125,11 @@ def h_of_d2(model: ConnectivityModel, d2, out=None, scratch=None) -> np.ndarray:
         e *= x
         return e
     if model.family == RAYLEIGH:
-        # exp(-beta * d2**(eta/2)).  np.power runs the array kernel on a
-        # scalar too, where `**` would not; `**=` picks the same kernel.
-        if out is None:
-            y = np.power(d2, 0.5 * model.eta)
-        else:
-            y = out
-            y[...] = d2
-            y **= 0.5 * model.eta
+        # exp(-beta * d2**(eta/2)).
+        y = np.power(d2, 0.5 * model.eta)
         y *= -model.beta
-        return np.exp(y) if out is None else np.exp(y, out=y)
-    if out is None:
-        return (d2 <= model.r0**2).astype(float)
-    return np.less_equal(d2, model.r0**2, out=out)
+        return np.exp(y)
+    return (d2 <= model.r0**2).astype(float)
 
 
 def h_prime(model: ConnectivityModel, r) -> np.ndarray | float:

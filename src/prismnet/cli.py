@@ -167,13 +167,27 @@ def _merge_config(ctx: click.Context, flags: dict, path: str) -> dict:
     return {**flags, **values}
 
 
+def _output_dir(value: str | None) -> Path:
+    """The --out directory, refused when it cannot be one: a path with a NUL,
+    or one that is, or lies under, an existing file.  Creates nothing."""
+    out = Path(value or ".")
+    if "\0" in str(out):
+        raise JobError(f"--out {str(out)!r}: a path cannot hold a NUL character")
+    for path in (out, *out.parents):
+        if path.is_dir():
+            break
+        if os.path.lexists(path):
+            raise JobError(f"--out {str(out)!r}: {str(path)!r} exists and is not a directory")
+    return out
+
+
 def _resolve(ctx: click.Context, flags: dict) -> Job:
     """Check every value of one invocation and build its Job."""
     config_path = flags.pop("config_path")
     if config_path:
         flags = _merge_config(ctx, flags, config_path)
     job = {
-        "out": Path(flags["out"] or "."),
+        "out": _output_dir(flags["out"]),
         "plot": flags.get("plot", False),
     }
     if "domain_spec" in flags:

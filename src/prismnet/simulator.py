@@ -16,18 +16,13 @@ its own generator, then one ``run_trial`` per trial that writes its squared
 distances.  Each chunk of trials allocates one workspace, and every batch
 writes into it: one float64 array of the batch's B N(N-1)/2 squared
 distances, i.e. 1 MB at N = 156, 6.2 MB at N = 1250 and 400 MB at
-N = 10,000, plus cache-sized blocks for the pair uniforms, H and the link
-test.  The link list grows with the number of links, not of pairs; its
-indices are int32 while the batch's pairs fit, and the link columns move,
-as intp, into the spent squared distances, where bincount and the search
-read them without a cast.  When every pair links, a batch peaks at 24
-bytes per pair, 8 of distance and 16 of link arrays, plus the blocks and,
-per trial, 2 KB for its generator and 120 bytes per node for its
-positions, the draws that sample them and its node arrays.  A run holds
-one batch per worker, and physical memory is their budget, counted for the
-worst case by ``_kernel.workspace_bytes``: ``SimConfig`` refuses an N
-whose one worker exceeds it, and ``estimate`` runs no more workers than
-there are trials or workers that fit in it.
+N = 10,000.  The pair uniforms, H and the link test are temporaries of
+cache-sized blocks, and the link list grows with the number of links, not
+of pairs.  A run holds one batch per worker, and physical memory is their
+budget, each batch counted for the worst case, every pair linked, by
+``_kernel.workspace_bytes``: ``SimConfig`` refuses an N whose one worker
+exceeds it, and ``estimate`` runs no more workers than there are trials
+or workers that fit in it.
 
 Trials are fully determined by (seed, trial_index): random numbers come
 from a per-trial generator seeded with that pair, so serial, reordered,

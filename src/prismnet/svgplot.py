@@ -97,10 +97,14 @@ class Figure:
                 for x, y, e in keep:
                     out.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{color}"/>')
                     if e:
-                        lo = max(y - e, 1e-300)
+                        # Clipped to the frame; a lower end at or below 0 is
+                        # off the log axis, so the bar runs to the frame's foot.
+                        foot = HEIGHT - MARGIN_B
+                        lo = min(py(y - e), foot) if y > e else foot
+                        hi = max(py(y + e), MARGIN_T)
                         out.append(
-                            f'<line x1="{px(x):.2f}" y1="{py(lo):.2f}" x2="{px(x):.2f}" '
-                            f'y2="{py(y + e):.2f}" stroke="{color}" stroke-width="1"/>'
+                            f'<line x1="{px(x):.2f}" y1="{lo:.2f}" x2="{px(x):.2f}" '
+                            f'y2="{hi:.2f}" stroke="{color}" stroke-width="1"/>'
                         )
             ly = MARGIN_T + 16 + 16 * i
             out.append(

@@ -495,6 +495,39 @@ class TestConfigAndErrors:
         assert message in res.output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "out, message",
+        [("file", "is not a directory"), ("file/sub", "is not a directory"), ("a\0b", "NUL")],
+        ids=["file", "under-file", "nul"],
+    )
+    @pytest.mark.parametrize("command", ALL_COMMANDS)
+    def test_unusable_out_exit_2(self, runner, tmp_path, monkeypatch, command, out, message):
+        # Refused before any work: the simulator and the oracle never run.
+        from prismnet import quadrature, simulator
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran with an unusable --out")
+
+        monkeypatch.setattr(simulator, "sweep", never)
+        monkeypatch.setattr(quadrature, "validation_suite", never)
+        (tmp_path / "file").write_text("keep")
+        made = ["file"]
+        argv = [command]
+        for flag, value in VALID_FLAGS[command].items():
+            argv += [flag, value]
+        if "\0" in out:
+            # No argument can hold a NUL; a job file's "out" can.
+            (tmp_path / "job.json").write_text(json.dumps({"out": str(tmp_path / out)}))
+            made.append("job.json")
+            argv += ["--config", str(tmp_path / "job.json")]
+        else:
+            argv += ["--out", str(tmp_path / out)]
+        res = runner.invoke(main, argv)
+        assert_one_line_config_error(res)
+        assert message in res.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == made
+        assert (tmp_path / "file").read_text() == "keep"
+
     def test_config_spec_objects(self, runner, tmp_path):
         cfg = tmp_path / "job.json"
         specs = {"domain_spec": json.loads(HOUSE), "model-spec": json.loads(MODEL)}

@@ -1,5 +1,6 @@
 """Monte Carlo engine: kernel exactness, determinism, pinned random stream."""
 
+import hashlib
 import math
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -477,15 +478,30 @@ class TestDeterminism:
 
 class TestStream:
     @pytest.mark.parametrize(
-        "domain, model, rho, counts",
+        "domain, model, rho, counts, digest",
         [
-            (build_house(5.0), mimo_mrc_2x2(1.0), 1.0, (399, 399)),
+            (
+                build_house(5.0), mimo_mrc_2x2(1.0), 1.0, (399, 399),
+                "323b380b23847a09af5c622c32d2a1bb761345fe1db1a33ce8f9ab5ec83c25ee",
+            ),
             # 50 disconnected trials with no isolated node.
-            (build_half_cylinder(5.0, 4.0), mimo_mrc_2x2(1.0), 0.25, (115, 165)),
-            (build_right_prism(HEX_BASE, 3.0), rayleigh(1.0, 3.0), 5.0, (394, 394)),
-            (build_house(2.0), hard_disk(0.8), 1.0, (1, 29)),
+            (
+                build_half_cylinder(5.0, 4.0), mimo_mrc_2x2(1.0), 0.25, (115, 165),
+                "8cd853c9d820ddcf5a6f7790218786035c225161d5bf889f7dc3942b5f4352ea",
+            ),
+            (
+                build_right_prism(HEX_BASE, 3.0), rayleigh(1.0, 3.0), 5.0, (394, 394),
+                "65e1cd85e6df1f78cb99fdae735c8a1bbfba7784efdbc03ed683e8913acacb31",
+            ),
+            (
+                build_house(2.0), hard_disk(0.8), 1.0, (1, 29),
+                "89d4fb7aa2ab1122415fdf379aaab8fb37b1ee9f4d55e84ad4c4c2ef6090d733",
+            ),
             # N = 375: three H blocks per trial.
-            (build_house(10.0), mimo_mrc_2x2(1.0), 0.3, (69, 91)),
+            (
+                build_house(10.0), mimo_mrc_2x2(1.0), 0.3, (69, 91),
+                "00acd5fa1e2da75bd18c2b7487420add3a1a7a3da0ef599389cae033430c7080",
+            ),
         ],
         ids=[
             "house-mimo",
@@ -495,10 +511,16 @@ class TestStream:
             "house-L10-mimo-3-blocks",
         ],
     )
-    def test_pinned_counts(self, domain, model, rho, counts):
+    def test_pinned_counts(self, domain, model, rho, counts, digest):
         # Any change to the random stream or the link decision moves these.
-        r = estimate(SimConfig(domain=domain, model=model, trials=400, seed=7, rho=rho))
+        # The digest pins each trial's outcome: counts alone miss two trials
+        # that swap theirs.
+        cfg = SimConfig(domain=domain, model=model, trials=400, seed=7, rho=rho)
+        r = estimate(cfg)
         assert (r.fc_count, r.min_deg_ge1_count) == counts
+        connected, min_degree = map(np.concatenate, zip(*trial_outcomes(cfg, 0, 400)))
+        data = connected.astype(np.uint8).tobytes() + min_degree.astype("<i8").tobytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
 
 class TestConfig:

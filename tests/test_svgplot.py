@@ -1,5 +1,6 @@
 """SVG plots: log-y decade ticks, positive points only, phase-map cells."""
 
+import math
 import xml.etree.ElementTree as ET
 
 from prismnet import svgplot
@@ -29,6 +30,23 @@ def test_figure_log_axis_and_points():
     assert len(elements(root, "circle")) == 2
     bars = [e for e in elements(root, "line") if e.get("stroke-width") == "1"]
     assert len(bars) == 2
+
+
+def test_error_bars_stay_in_the_frame():
+    # Wald bars of 1000 trials: at P_out = 1e-3 the lower end, 5e-7, lies
+    # far below the axis's padded foot; the last bar runs past its top.
+    p = [1e-3, 1e-2, 0.5]
+    yerr = [math.sqrt(q * (1 - q) / 1000) for q in p[:2]] + [0.45]
+    fig = svgplot.Figure(title="outage", x_label="node density", y_label="P_out")
+    fig.add([0.8, 1.0, 1.2], p, "simulation", style="dots", yerr=yerr)
+    root = ET.fromstring(fig.render())
+    bars = [e for e in elements(root, "line") if e.get("stroke-width") == "1"]
+    assert len(bars) == 3
+    ends = [float(b.get(k)) for b in bars for k in ("y1", "y2")]
+    assert all(svgplot.MARGIN_T <= v <= svgplot.HEIGHT - svgplot.MARGIN_B for v in ends)
+    # The first bar is cut at the foot, the last at the top.
+    assert float(bars[0].get("y1")) == svgplot.HEIGHT - svgplot.MARGIN_B
+    assert float(bars[2].get("y2")) == svgplot.MARGIN_T
 
 
 def test_phase_map_one_rect_per_cell(tmp_path):
