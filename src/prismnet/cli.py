@@ -18,6 +18,7 @@ or a closed-form outage or term that overflows).
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import os
@@ -169,15 +170,19 @@ def _merge_config(ctx: click.Context, flags: dict, path: str) -> dict:
 
 def _output_dir(value: str | None) -> Path:
     """The --out directory, refused when it cannot be one: a path with a NUL,
-    or one that is, or lies under, an existing file.  Creates nothing."""
+    one that is, or lies under, an existing file, or one the file system
+    cannot check.  Creates nothing."""
     out = Path(value or ".")
     if "\0" in str(out):
         raise JobError(f"--out {str(out)!r}: a path cannot hold a NUL character")
-    for path in (out, *out.parents):
-        if path.is_dir():
-            break
-        if os.path.lexists(path):
-            raise JobError(f"--out {str(out)!r}: {str(path)!r} exists and is not a directory")
+    try:
+        for path in (out, *out.parents):
+            if path.is_dir():
+                break
+            if os.path.lexists(path):
+                raise JobError(f"--out {str(out)!r}: {str(path)!r} exists and is not a directory")
+    except OSError as exc:  # a name too long for the file system, say
+        raise JobError(f"--out {str(out)!r}: {exc.strerror or exc}") from exc
     return out
 
 
@@ -277,8 +282,17 @@ def _breakdowns(job: Job):
 
 
 def _simulate(job: Job):
-    # Imported here, in the parent, so that pool workers fork with scipy loaded.
-    from . import simulator
+    # Imported here, in the parent, so that pool workers fork with scipy
+    # loaded.  Its ~23k objects load with the cyclic GC paused, and then the
+    # whole heap (~46k) is frozen, so no collection walks it: not while it
+    # loads, not in the forked workers (whose copied-on-write pages it would
+    # dirty) and not at exit.
+    gc.disable()
+    try:
+        from . import simulator
+    finally:
+        gc.freeze()
+        gc.enable()
 
     return simulator.sweep(
         job.domain, job.model, job.rhos, job.trials, seed=job.seed, workers=job.workers

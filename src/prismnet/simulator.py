@@ -22,7 +22,9 @@ of pairs.  A run holds one batch per worker, and physical memory is their
 budget, each batch counted for the worst case, every pair linked, by
 ``_kernel.workspace_bytes``: ``SimConfig`` refuses an N whose one worker
 exceeds it, and ``estimate`` runs no more workers than there are trials
-or workers that fit in it.
+or workers that fit in it.  A sweep opens one pool, as wide as the most
+workers any of its densities gets, and each density's estimate submits
+its chunks to it, so the workers fork once per sweep, not once per density.
 
 Trials are fully determined by (seed, trial_index): random numbers come
 from a per-trial generator seeded with that pair, so serial, reordered,
@@ -31,6 +33,7 @@ and parallel execution all produce identical aggregates.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import time
@@ -174,21 +177,34 @@ def _count_range(config: SimConfig, start: int, stop: int) -> tuple[int, int]:
     return fc, deg_ok
 
 
+def _workers(config: SimConfig, workers: int) -> int:
+    """The processes a run of ``config`` gets: at most ``workers``, one per
+    trial and per worst-case batch (``_kernel.workspace_bytes``) that fits
+    in physical memory."""
+    return min(workers, config.trials, int(PHYSICAL_MEMORY // _kernel.workspace_bytes(config.n)))
+
+
+# The pool of the sweep in progress, which its estimates share; None outside
+# a sweep.  Handed over here, not as an argument, so that estimate keeps its
+# (config, workers) signature for every caller and wrapper.
+_pool: ProcessPoolExecutor | None = None
+
+
 def estimate(config: SimConfig, workers: int = 1) -> SimResult:
     """Aggregate `config.trials` independent trials into a SimResult.
 
-    Runs at most ``workers`` processes, one per trial and per worst-case
-    batch (``_kernel.workspace_bytes``) that fits in physical memory; the
-    counts do not depend on how many run.
+    Splits the trials into ``_workers(config, workers)`` chunks, one per
+    process, run in the open sweep's pool or else in a pool of its own;
+    the counts do not depend on how many run.
     """
     t0 = time.perf_counter()
-    need = _kernel.workspace_bytes(config.n)
-    workers = min(workers, config.trials, int(PHYSICAL_MEMORY // need))
+    workers = _workers(config, workers)
     if workers > 1:
         # Integer bounds: exact for any trial count, where float64 drops trials past 2**53.
         bounds = [config.trials * k // workers for k in range(workers + 1)]
         fc = deg_ok = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with contextlib.ExitStack() as stack:
+            pool = _pool or stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             futures = [
                 pool.submit(_count_range, config, a, b) for a, b in zip(bounds[:-1], bounds[1:])
             ]
@@ -223,7 +239,10 @@ def sweep(
     """One estimate per density; each density gets its own seed offset.
 
     Every density's config is built, and so checked, before the first runs.
+    The estimates share one pool, as wide as the most workers any density
+    gets; each submits only as many chunks as it gets workers.
     """
+    global _pool
     rho_values = list(rho_values)
     if any(b <= a for a, b in zip(rho_values, rho_values[1:])):
         raise SimulationError("density sweep must be strictly increasing")
@@ -231,4 +250,12 @@ def sweep(
         SimConfig(domain=domain, model=model, trials=trials, seed=seed + i, rho=float(rho))
         for i, rho in enumerate(rho_values)
     ]
-    return [estimate(cfg, workers=workers) for cfg in configs]
+    width = max((_workers(cfg, workers) for cfg in configs), default=1)
+    if width < 2:
+        return [estimate(cfg, workers) for cfg in configs]
+    with ProcessPoolExecutor(max_workers=width) as pool:
+        _pool = pool
+        try:
+            return [estimate(cfg, workers) for cfg in configs]
+        finally:
+            _pool = None

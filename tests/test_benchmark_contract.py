@@ -53,14 +53,24 @@ for spec in specs:
     simulator.estimate(cfg, 1)
     per_estimate[spec["kind"]] = {k: v[0] - before.get(k, 0) for k, v in tracer.spans.items()}
 house = domain_from_spec(specs[0])
+# A sweep shares one pool across its densities, but still makes one
+# estimate() call, so one span, per density.
+before = tracer.spans["simulator.estimate"][0]
+simulator.sweep(house, mimo_mrc_2x2(1.0), [0.5, 1.0, 1.5], %d, workers=2)
+sweep_estimates = tracer.spans["simulator.estimate"][0] - before
 analytic.assemble_pfc(house.features(), mimo_mrc_2x2(1.0), 1.0)
 analytic.phase_map(1.0, [1.0], [5.0])
 quadrature.validation_suite()
 quadrature.outer_integral(house.features().edges[0], rayleigh(1.0, 2.0), 1.0)
 calls = {k: v[0] for k, v in tracer.spans.items()} | tracer.sums
-state = {"installed": sorted(tracer.installed), "calls": calls, "per_estimate": per_estimate}
+state = {
+    "installed": sorted(tracer.installed),
+    "calls": calls,
+    "per_estimate": per_estimate,
+    "sweep_estimates": sweep_estimates,
+}
 print(json.dumps(state))
-""" % TRIALS
+""" % (TRIALS, TRIALS)
 
 
 def test_every_traced_layer_sees_calls():
@@ -82,3 +92,4 @@ def test_every_traced_layer_sees_calls():
         # make one batch.
         for name in ("geometry.sample", "kernel.pair_graph_stats"):
             assert counts.get(name) == 1, (kind, name, counts)
+    assert state["sweep_estimates"] == 3

@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, determinism, config precedence, exit codes."""
 
 import csv
+import gc
 import json
 import math
 import os
@@ -386,6 +387,23 @@ class TestCompare:
         assert rows[0][-2:] == [str(b.valid), str(b.clamped)]
 
 
+    def test_threads_do_not_change_csv(self, runner, tmp_path):
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            res = runner.invoke(
+                main,
+                ["compare", "--domain", '{"kind":"house","L":2.0}', "--model", MODEL,
+                 "--rho-list", "0.5,0.8,1.2", "--trials", "50", "--threads", threads,
+                 "--out", str(out)],
+            )
+            assert res.exit_code == 0, res.output
+            # The simulator's import pauses the cyclic GC; the run turns it back on.
+            assert gc.isenabled()
+            written.append((out / "compare.csv").read_bytes())
+        assert written[0] == written[1]
+
+
 class TestPhaseMap:
     def test_grid(self, runner, tmp_path):
         res = runner.invoke(
@@ -497,8 +515,13 @@ class TestConfigAndErrors:
 
     @pytest.mark.parametrize(
         "out, message",
-        [("file", "is not a directory"), ("file/sub", "is not a directory"), ("a\0b", "NUL")],
-        ids=["file", "under-file", "nul"],
+        [
+            ("file", "is not a directory"),
+            ("file/sub", "is not a directory"),
+            ("a\0b", "NUL"),
+            ("x" * 300, "File name too long"),
+        ],
+        ids=["file", "under-file", "nul", "name-too-long"],
     )
     @pytest.mark.parametrize("command", ALL_COMMANDS)
     def test_unusable_out_exit_2(self, runner, tmp_path, monkeypatch, command, out, message):

@@ -416,6 +416,22 @@ class TestWorkers:
         assert (r.fc_count, r.min_deg_ge1_count) == (4, 4)
         assert pools == [2]
 
+    def test_sweep_shares_one_pool(self, pools, monkeypatch):
+        # One pool for the whole sweep, and still one estimate per density.
+        densities = []
+        inner = simulator.estimate
+
+        def recording(config, workers=1):
+            densities.append(config.rho)
+            return inner(config, workers)
+
+        monkeypatch.setattr(simulator, "estimate", recording)
+        args = (build_house(2.0), mimo_mrc_2x2(1.0), [0.5, 1.0, 1.5], 6)
+        shared = sweep(*args, workers=2)
+        assert pools == [2]
+        assert densities == [0.5, 1.0, 1.5]
+        assert shared == sweep(*args, workers=1)
+
     @pytest.mark.parametrize("trials", [10**23, 2**53 + 1], ids=["1e23", "2**53+1"])
     @pytest.mark.parametrize("workers", [2, 3])
     def test_chunks_tile_the_trials(self, monkeypatch, trials, workers):
