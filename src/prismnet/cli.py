@@ -24,6 +24,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 import click
@@ -48,7 +49,7 @@ _NUMERIC_ERRORS = ArithmeticError
 # The JSON types a --config value may take, by the click type of its flag.
 _JSON_TYPES = {"boolean": (bool,), "integer": (int,), "float": (int, float), "text": (str,)}
 _SPEC_KEYS = ("domain_spec", "model_spec")
-# The most values a start:stop:step sweep may hold.
+# The most values a start:stop:step sweep, or cells a phase-map grid, may hold.
 _MAX_SWEEP_VALUES = 10**6
 
 
@@ -101,31 +102,37 @@ def _load_spec(value: str | dict | None, flag: str) -> dict:
     return _read_json_file(value)
 
 
-def _parse_float(text: str, name: str) -> float:
+def _parse_number(text: str, name: str) -> Decimal:
+    """A sweep value as the exact decimal its text writes."""
     try:
-        value = float(text)
-    except ValueError as exc:
-        raise JobError(f"--{name}: {text.strip()!r} is not a number") from exc
-    if not math.isfinite(value):
+        value = Decimal(text)
+    except InvalidOperation:
+        raise JobError(f"--{name}: {text.strip()!r} is not a number") from None
+    if not (value.is_finite() and math.isfinite(float(value))):
         raise JobError(f"--{name} values must be finite")
     return value
 
 
 def _parse_sweep(range_spec: str | None, list_spec: str | None, name: str) -> tuple[float, ...]:
+    """The sweep's values, each the float nearest its decimal value, so
+    ``0.1:0.15:0.05`` and ``0.1,0.15`` give the same floats.  A range holds
+    start + k step for every k >= 0 that stays below stop + step / 2, in
+    decimal arithmetic (28 significant digits)."""
     if range_spec and list_spec:
         raise JobError(f"give either --{name} or --{name}-list, not both")
     if range_spec:
         parts = range_spec.split(":")
         if len(parts) != 3:
             raise JobError(f"--{name} expects start:stop:step")
-        a, b, step = (_parse_float(p, name) for p in parts)
-        if step <= 0 or b < a:
+        a, b, step = (_parse_number(p, name) for p in parts)
+        if float(step) <= 0 or b < a:
             raise JobError(f"--{name} range must be increasing with positive step")
-        if not (b + 0.5 * step - a) / step <= _MAX_SWEEP_VALUES:
+        count = math.ceil((b - a) / step + Decimal("0.5"))
+        if count > _MAX_SWEEP_VALUES:
             raise JobError(f"--{name} range holds more than {_MAX_SWEEP_VALUES} values")
-        values = tuple(np.arange(a, b + 0.5 * step, step))
+        values = tuple(float(a + k * step) for k in range(count))
     elif list_spec:
-        values = tuple(_parse_float(v, name) for v in list_spec.split(",") if v.strip())
+        values = tuple(float(_parse_number(v, name)) for v in list_spec.split(",") if v.strip())
     else:
         values = ()
     if not values:
@@ -204,6 +211,9 @@ def _resolve(ctx: click.Context, flags: dict) -> Job:
         job["rhos"] = _parse_sweep(flags["rho_range"], flags["rho_list"], "rho")
     if "l_range" in flags:
         job["lengths"] = _parse_sweep(flags["l_range"], flags["l_list"], "length")
+        cells = len(job["rhos"]) * len(job["lengths"])
+        if cells > _MAX_SWEEP_VALUES:
+            raise JobError(f"the rho x L grid has {cells} cells, more than {_MAX_SWEEP_VALUES}")
     if "trials" in flags:
         if flags["trials"] is None:
             raise JobError("--trials is required")

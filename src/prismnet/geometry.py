@@ -1,15 +1,21 @@
 """Bounding domains and their boundary-feature inventories.
 
-Supported domains are convex right prisms (a convex polygon extruded along
-z) and the half-cylinder.  The "house" prism -- a square of side L topped
-by a right-angled isoceles roof, extruded to depth L -- is provided as a
-ready-made constructor because it is the main worked example of the
-analytic pipeline.
+Every domain is a right prism: a convex 2-D base extruded along z over
+[0, h].  The base is a strictly convex polygon (``Polygon2D``) or, for the
+half-cylinder, a half-disk (``HalfDisk``).  ``Domain`` derives everything
+else from the base and h: the volume, the surface area, the feature
+inventory, containment and uniform sampling.  The "house" prism -- a square
+of side L topped by a right-angled isoceles roof, extruded to depth L -- is
+provided ready-made because it is the main worked example of the analytic
+pipeline.  Its pentagon stands in the x-z plane, so its containment swaps y
+and z, and it keeps its own sampler.
 
 Every domain lists its boundary features the same way: the bulk, one face
-entry, then edge and corner groups built by ``_inventory`` from
-(dihedral, length, count) edge entries and (dihedral, count) corner
-entries.  Dihedrals within ANGLE_TOL of each other form one angle class,
+entry, then edge and corner groups.  Each base edge lies on both caps at a
+right angle, each base vertex gives one axial edge at its angle, and each
+base vertex lies on both caps as a corner.  The half-disk's curved face is
+lumped into the face entry with the flat ones; curvature corrections are out
+of scope.  Dihedrals within ANGLE_TOL of each other form one angle class,
 and every member takes the class's first angle, so a class is one exact
 float wherever it is compared.  Within a class, edges of equal length merge
 into one feature with a multiplicity.  Every feature is named: U, F, then
@@ -18,14 +24,16 @@ volume or surface area overflows a float is too large; one whose volume,
 surface area or base cross products underflow is too small.
 
 All lengths are dimensionless program units.  Domains are immutable after
-construction and safe for concurrent reads; sampling takes caller-owned
-numpy Generators, one per trial of a batch.
+construction and safe for concurrent reads (a polygon's sampling tables are
+built on first use, the same by whichever caller builds them); sampling
+takes caller-owned numpy Generators, one per trial of a batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +53,9 @@ class GeometryError(InputError):
 class Polygon2D:
     """Strictly convex polygon with counter-clockwise vertex order."""
 
+    # Uniforms per sampled point: the fan triangle and two coordinates in it.
+    groups = 3
+
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
@@ -53,9 +64,10 @@ class Polygon2D:
             raise GeometryError("polygon vertices must be finite")
         scale = float(np.max(np.abs(v))) or 1.0
         with np.errstate(over="ignore", invalid="ignore"):
-            w = np.roll(v, -1, axis=0)
+            w = np.concatenate((v[1:], v[:1]))
             edges = w - v
-            cross = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
+            after = np.concatenate((edges[1:], edges[:1]))
+            cross = edges[:, 0] * after[:, 1] - edges[:, 1] * after[:, 0]
             # Shoelace; it may overflow, which the domain built on it rejects.
             area = 0.5 * float(np.sum(v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]))
         if not np.all(np.isfinite(cross)):
@@ -68,23 +80,12 @@ class Polygon2D:
             if np.any(lengths * np.roll(lengths, -1) < np.finfo(float).tiny):
                 raise GeometryError("polygon is too small: its edge cross products underflow")
             raise GeometryError("polygon must be strictly convex with CCW winding")
-        self.vertices = v
-        self.vertices.setflags(write=False)
         # Computed once, since the vertices are read-only.
+        self.vertices, self.edge_vectors, self.edge_lengths = v, edges, lengths
+        for a in (v, edges, lengths):
+            a.setflags(write=False)
         self.area = area
-
-    @property
-    def edge_vectors(self) -> np.ndarray:
-        return np.roll(self.vertices, -1, axis=0) - self.vertices
-
-    @property
-    def edge_lengths(self) -> np.ndarray:
-        e = self.edge_vectors
-        return np.hypot(e[:, 0], e[:, 1])
-
-    @property
-    def perimeter(self) -> float:
-        return float(np.sum(self.edge_lengths))
+        self.perimeter = float(np.sum(lengths))
 
     def interior_angles(self) -> np.ndarray:
         """Interior angle at each vertex, in (0, pi) by convexity."""
@@ -102,6 +103,71 @@ class Polygon2D:
         rel = xy[:, None, :] - v[None, :, :]
         cross = e[None, :, 0] * rel[:, :, 1] - e[None, :, 1] * rel[:, :, 0]
         return np.all(cross >= -_VERTEX_TOL * scale, axis=1)
+
+    @cached_property
+    def _fan(self):
+        """Fan triangulation from vertex 0 for exact uniform sampling: per
+        coordinate, each triangle's vertex and its edges b - a and c - a, and
+        the normalised cumulative area weights, computed as
+        Generator.choice(p=...) does.  Built on the first sample, so only a
+        domain that passed its size checks builds it."""
+        v = self.vertices
+        ab, ac = v[1:-1] - v[0], v[2:] - v[0]
+        areas = abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]) * 0.5
+        fan = np.array([np.broadcast_to(v[0], ab.shape), ab, ac]).transpose(2, 0, 1)
+        cdf = (areas / areas.sum()).cumsum()
+        return fan, cdf / cdf[-1]
+
+    def place(self, u: np.ndarray) -> np.ndarray:
+        """Uniform points from u[:, :3] (the triangle, as rng.choice(triangles,
+        p=weights) draws it, then two triangle uniforms), shape u[:, 0].shape
+        + (2,).  The triangle uniforms are folded in place."""
+        fan, cdf = self._fan
+        tri = cdf.searchsorted(u[:, 0], side="right")
+        # Each coordinate's triangle rows are gathered only as it is computed.
+        return _sample_triangle((f[:, tri] for f in fan), u[:, 1], u[:, 2])
+
+
+class HalfDisk:
+    """Half-disk x^2 + y^2 <= r^2, y >= 0: an arc and a diameter meeting at
+    two right angles."""
+
+    # Uniforms per sampled point: the radius and the angle.
+    groups = 2
+
+    def __init__(self, radius: float):
+        self.radius = radius
+
+    @property
+    def area(self) -> float:
+        # Not computed at construction: r**2 may raise OverflowError, which
+        # the domain built on it reports as too large.
+        return 0.5 * np.pi * self.radius**2
+
+    @property
+    def edge_lengths(self) -> np.ndarray:
+        """The arc's length, then the diameter's."""
+        return np.array([np.pi * self.radius, 2.0 * self.radius])
+
+    @property
+    def perimeter(self) -> float:
+        return float(np.sum(self.edge_lengths))
+
+    def interior_angles(self) -> np.ndarray:
+        """The right angles at the diameter's two ends."""
+        return np.full(2, 0.5 * np.pi)
+
+    def contains(self, xy: np.ndarray) -> np.ndarray:
+        """Membership of each row of an (n, 2) point array (closed region)."""
+        x, y = xy[:, 0], xy[:, 1]
+        return (x**2 + y**2 <= self.radius**2 * (1.0 + 1e-15)) & (y >= 0.0)
+
+    def place(self, u: np.ndarray) -> np.ndarray:
+        """Uniform points from u[:, :2] (the radius, then the angle), shape
+        u[:, 0].shape + (2,)."""
+        s = self.radius * np.sqrt(u[:, 0])
+        phi = np.pi * u[:, 1]
+        return np.stack([s * np.cos(phi), s * np.sin(phi)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -146,52 +212,6 @@ class FeatureSet:
         return (self.bulk, self.face, *self.edges, *self.corners)
 
 
-class Domain:
-    """Base class: a convex 3D region with volume, surface area, features."""
-
-    kind: str
-
-    @property
-    def volume(self) -> float:
-        raise NotImplementedError
-
-    @property
-    def surface_area(self) -> float:
-        raise NotImplementedError
-
-    def features(self) -> FeatureSet:
-        raise NotImplementedError
-
-    def contains(self, points) -> np.ndarray:
-        """Membership of each row of an (n, 3) point array (closed region)."""
-        raise NotImplementedError
-
-    def sample(self, n: int, rngs) -> np.ndarray:
-        """Draw n points uniformly over the volume per generator, shape
-        (len(rngs), n, 3): trial t's come from ``rngs[t]`` alone, bit for bit
-        as a one-trial sampler's ``random(n)`` calls place them, and leave it
-        where those would.  One trial is ``sample(n, [rng])[0]``."""
-        raise NotImplementedError
-
-    def to_spec(self) -> dict:
-        raise NotImplementedError
-
-    def _check_size(self):
-        """Reject a domain whose volume or surface area overflows a float or underflows to 0."""
-        try:
-            sizes = (self.volume, self.surface_area)
-        except OverflowError:
-            sizes = (math.inf,)
-        if not all(math.isfinite(x) for x in sizes):
-            raise GeometryError(
-                f"{self.kind} domain is too large: its volume or surface area overflows"
-            )
-        if not all(x > 0 for x in sizes):
-            raise GeometryError(
-                f"{self.kind} domain is too small: its volume or surface area underflows"
-            )
-
-
 def _merge(entries, prefix: str) -> list[tuple]:
     """Merge (dihedral, measure, count) entries into (label, dihedral, measure,
     count) groups sorted by (dihedral, measure).
@@ -217,33 +237,6 @@ def _merge(entries, prefix: str) -> list[tuple]:
     return [(label[a], a, m, c) for a, m, c in sorted(groups)]
 
 
-def _inventory(volume: float, area: float, edges, corners) -> FeatureSet:
-    """A domain's labelled FeatureSet from (dihedral, length, count) edge
-    entries and (dihedral, count) corner entries; see ``_merge``."""
-    return FeatureSet(
-        bulk=BoundaryFeature(codim=0, measure=volume, label="U"),
-        face=BoundaryFeature(codim=1, measure=area, label="F"),
-        edges=tuple(
-            BoundaryFeature(codim=2, measure=m, multiplicity=c, dihedral=a, label=lab)
-            for lab, a, m, c in _merge(edges, "E")
-        ),
-        corners=tuple(
-            BoundaryFeature(codim=3, measure=1.0, multiplicity=c, dihedral=a, label=lab)
-            for lab, a, _, c in _merge(((a, 1.0, c) for a, c in corners), "C")
-        ),
-    )
-
-
-def _prism_features(base: Polygon2D, height: float, volume: float, area: float) -> FeatureSet:
-    angles = [float(a) for a in base.interior_angles()]
-    # Cap edges: every base-polygon edge appears on both caps at a right angle.
-    edges = [(0.5 * np.pi, float(length), 2) for length in base.edge_lengths]
-    # Axial edges: one per base vertex, dihedral equal to the vertex angle.
-    edges += [(ang, float(height), 1) for ang in angles]
-    # Corners: every base vertex on both caps.
-    return _inventory(volume, area, edges, [(ang, 2) for ang in angles])
-
-
 def _uniforms(rngs, groups, n):
     """Each generator's next ``groups`` draws of n uniforms, shape
     (len(rngs), groups, n), in one ``random(out=...)`` call per generator."""
@@ -264,27 +257,30 @@ def _sample_triangle(fan, u1, u2):
     return np.stack([a + u1 * ab + u2 * ac for a, ab, ac in fan], axis=-1)
 
 
-class RightPrism(Domain):
-    """Convex polygon in the x-y plane extruded along z in [0, height]."""
+class Domain:
+    """Right prism: a convex base (``Polygon2D`` or ``HalfDisk``) in the x-y
+    plane extruded along z in [0, height].  A subclass names its ``kind`` and
+    writes its spec."""
 
-    kind = "prism"
+    kind: str
 
-    def __init__(self, base: Polygon2D, height: float):
+    def __init__(self, base, height: float):
         if not (math.isfinite(height) and height > 0):
-            raise GeometryError("prism height must be positive and finite")
+            raise GeometryError(f"{self.kind} height must be positive and finite")
         self.base = base
         self.height = float(height)
-        self._check_size()
-        # Fan triangulation from vertex 0 for exact uniform sampling: per
-        # coordinate, each triangle's vertex and its edges b - a and c - a,
-        # and the normalised cumulative area weights, computed as
-        # Generator.choice(p=...) does.
-        v = base.vertices
-        ab, ac = v[1:-1] - v[0], v[2:] - v[0]
-        areas = abs(ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]) * 0.5
-        self._fan = np.array([np.broadcast_to(v[0], ab.shape), ab, ac]).transpose(2, 0, 1)
-        cdf = (areas / areas.sum()).cumsum()
-        self._tri_cdf = cdf / cdf[-1]
+        try:
+            sizes = (self.volume, self.surface_area)
+        except OverflowError:
+            sizes = (math.inf,)
+        if not all(math.isfinite(x) for x in sizes):
+            raise GeometryError(
+                f"{self.kind} domain is too large: its volume or surface area overflows"
+            )
+        if not all(x > 0 for x in sizes):
+            raise GeometryError(
+                f"{self.kind} domain is too small: its volume or surface area underflows"
+            )
 
     @property
     def volume(self) -> float:
@@ -295,21 +291,46 @@ class RightPrism(Domain):
         return 2.0 * self.base.area + self.base.perimeter * self.height
 
     def features(self) -> FeatureSet:
-        return _prism_features(self.base, self.height, self.volume, self.surface_area)
+        angles = [float(a) for a in self.base.interior_angles()]
+        # Cap edges: every base edge appears on both caps at a right angle.
+        edges = [(0.5 * np.pi, float(length), 2) for length in self.base.edge_lengths]
+        # Axial edges: one per base vertex, dihedral equal to the vertex angle.
+        edges += [(ang, self.height, 1) for ang in angles]
+        # Corners: every base vertex on both caps.
+        corners = ((ang, 1.0, 2) for ang in angles)
+        return FeatureSet(
+            bulk=BoundaryFeature(codim=0, measure=self.volume, label="U"),
+            face=BoundaryFeature(codim=1, measure=self.surface_area, label="F"),
+            edges=tuple(
+                BoundaryFeature(codim=2, measure=m, multiplicity=c, dihedral=a, label=lab)
+                for lab, a, m, c in _merge(edges, "E")
+            ),
+            corners=tuple(
+                BoundaryFeature(codim=3, measure=1.0, multiplicity=c, dihedral=a, label=lab)
+                for lab, a, _, c in _merge(corners, "C")
+            ),
+        )
 
-    def contains(self, points):
+    def contains(self, points) -> np.ndarray:
+        """Membership of each row of an (n, 3) point array (closed region)."""
         p = np.asarray(points, dtype=float)
         ok = (p[:, 2] >= 0.0) & (p[:, 2] <= self.height)
         return ok & self.base.contains(p[:, :2])
 
-    def sample(self, n, rngs):
-        # Per trial: the triangle (the same draw as rng.choice(triangles,
-        # size=n, p=weights)), two triangle uniforms and z.
-        u = _uniforms(rngs, 4, n)
-        tri = self._tri_cdf.searchsorted(u[:, 0], side="right")
-        # Each coordinate's triangle rows are gathered only as it is computed.
-        xy = _sample_triangle((f[:, tri] for f in self._fan), u[:, 1], u[:, 2])
-        return np.dstack([xy, u[:, 3] * self.height])
+    def sample(self, n: int, rngs) -> np.ndarray:
+        """Draw n points uniformly over the volume per generator, shape
+        (len(rngs), n, 3): trial t's come from ``rngs[t]`` alone, bit for bit
+        as a one-trial sampler's ``random(n)`` calls place them, and leave it
+        where those would.  One trial is ``sample(n, [rng])[0]``."""
+        # Per trial: the base's uniform groups, then z.
+        u = _uniforms(rngs, self.base.groups + 1, n)
+        return np.dstack([self.base.place(u), u[:, -1] * self.height])
+
+
+class RightPrism(Domain):
+    """Convex polygon in the x-y plane extruded along z in [0, height]."""
+
+    kind = "prism"
 
     def to_spec(self) -> dict:
         return {"kind": "prism", "base": self.base.vertices.tolist(), "height": self.height}
@@ -331,10 +352,10 @@ def house_base_polygon(L: float) -> Polygon2D:
 class House(Domain):
     """House prism: square base [0,L]^2 in x-y, walls z in [0,L], roof apex at z=3L/2.
 
-    The pentagonal cross-section lives in the x-z plane and is extruded along
-    y to depth L.  Sampling decomposes the region into the wall box (weight
-    4/5) and the triangular roof prism (weight 1/5); both parts are sampled
-    exactly, with no rejection.
+    The pentagonal cross-section, its base, lives in the x-z plane and is
+    extruded along y to depth L.  Sampling decomposes the region into the
+    wall box (weight 4/5) and the triangular roof prism (weight 1/5); both
+    parts are sampled exactly, with no rejection.
     """
 
     kind = "house"
@@ -343,29 +364,11 @@ class House(Domain):
         if not (math.isfinite(L) and L > 0):
             raise GeometryError("house side length must be positive and finite")
         self.L = float(L)
-        self._check_size()
-
-    @property
-    def volume(self) -> float:
-        return 1.25 * self.L**3
-
-    @property
-    def surface_area(self) -> float:
-        return 0.5 * (11.0 + 2.0 * math.sqrt(2.0)) * self.L**2
-
-    def features(self) -> FeatureSet:
-        base = house_base_polygon(self.L)
-        return _prism_features(base, self.L, self.volume, self.surface_area)
+        super().__init__(house_base_polygon(self.L), self.L)
 
     def contains(self, points):
-        p = np.asarray(points, dtype=float)
-        L = self.L
-        x, y, z = p[:, 0], p[:, 1], p[:, 2]
-        inside_xy = (x >= 0) & (x <= L) & (y >= 0) & (y <= L)
-        wall = z >= 0
-        roof_halfwidth = 1.5 * L - z
-        in_roof = (z <= 1.5 * L) & (np.abs(x - 0.5 * L) <= roof_halfwidth)
-        return inside_xy & wall & np.where(z <= L, True, in_roof)
+        # The pentagon's second axis is z and the extrusion's is y.
+        return super().contains(np.asarray(points, dtype=float)[:, [0, 2, 1]])
 
     def sample(self, n, rngs):
         L = self.L
@@ -385,54 +388,19 @@ class House(Domain):
 
 
 class HalfCylinder(Domain):
-    """Half-cylinder: x^2 + y^2 <= r^2, y >= 0, z in [0, h].
-
-    The flat rectangular face lies in the y = 0 plane.  The curved face is
-    lumped into the single face entry of the feature inventory; curvature
-    corrections are out of scope.
-    """
+    """Half-cylinder: x^2 + y^2 <= r^2, y >= 0, z in [0, h], a ``HalfDisk``
+    extruded.  The flat rectangular face lies in the y = 0 plane."""
 
     kind = "half_cylinder"
 
     def __init__(self, radius: float, height: float):
         if not all(math.isfinite(x) and x > 0 for x in (radius, height)):
             raise GeometryError("half-cylinder radius and height must be positive and finite")
-        self.radius = float(radius)
-        self.height = float(height)
-        self._check_size()
+        super().__init__(HalfDisk(float(radius)), height)
 
     @property
-    def volume(self) -> float:
-        return 0.5 * np.pi * self.radius**2 * self.height
-
-    @property
-    def surface_area(self) -> float:
-        r, h = self.radius, self.height
-        return np.pi * r**2 + 2.0 * r * h + np.pi * r * h
-
-    def features(self) -> FeatureSet:
-        r, h = self.radius, self.height
-        right = 0.5 * np.pi
-        # Two semicircle arcs, two flat-face ends, two axial edges; four corners.
-        edges = [(right, np.pi * r, 2), (right, 2.0 * r, 2), (right, h, 2)]
-        return _inventory(self.volume, self.surface_area, edges, [(right, 4)])
-
-    def contains(self, points):
-        p = np.asarray(points, dtype=float)
-        r, h = self.radius, self.height
-        return (
-            (p[:, 0] ** 2 + p[:, 1] ** 2 <= r**2 * (1.0 + 1e-15))
-            & (p[:, 1] >= 0.0)
-            & (p[:, 2] >= 0.0)
-            & (p[:, 2] <= h)
-        )
-
-    def sample(self, n, rngs):
-        # Per trial: the radius, angle and z draws.
-        u = _uniforms(rngs, 3, n)
-        s = self.radius * np.sqrt(u[:, 0])
-        phi = np.pi * u[:, 1]
-        return np.stack([s * np.cos(phi), s * np.sin(phi), self.height * u[:, 2]], axis=-1)
+    def radius(self) -> float:
+        return self.base.radius
 
     def to_spec(self) -> dict:
         return {"kind": "half_cylinder", "r": self.radius, "h": self.height}
@@ -456,6 +424,9 @@ _DOMAIN_FIELDS = {
     "half_cylinder": {"kind", "r", "h"},
     "prism": {"kind", "base", "height"},
 }
+# What a prism spec's base and each of its vertices may be: a JSON array, or
+# a numpy array or tuple passed in by a library caller.
+_SEQUENCES = (list, tuple, np.ndarray)
 
 
 def domain_from_spec(spec: dict) -> Domain:
@@ -473,20 +444,25 @@ def domain_from_spec(spec: dict) -> Domain:
     extra = sorted(map(str, spec.keys() - _DOMAIN_FIELDS[kind]))
     if extra:
         raise GeometryError(f"{kind} domain spec has unknown field(s): {', '.join(extra)}")
+    missing = sorted(_DOMAIN_FIELDS[kind] - spec.keys())
+    if missing:
+        raise GeometryError(f"domain spec missing field {missing[0]!r}")
 
     def number(value):
         return spec_number(value, f"{kind} domain spec field", GeometryError)
 
+    if kind == "house":
+        return build_house(number(spec["L"]))
+    if kind == "half_cylinder":
+        return build_half_cylinder(number(spec["r"]), number(spec["h"]))
+    base = spec["base"]
     try:
-        if kind == "house":
-            return build_house(number(spec["L"]))
-        if kind == "half_cylinder":
-            return build_half_cylinder(number(spec["r"]), number(spec["h"]))
-        base = [[number(x) for x in vertex] for vertex in spec["base"]]
-        return build_right_prism(Polygon2D(base), number(spec["height"]))
-    except GeometryError:
-        raise
-    except KeyError as exc:
-        raise GeometryError(f"domain spec missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise GeometryError(f"domain spec field is not a number: {exc}") from exc
+        pairs = isinstance(base, _SEQUENCES) and all(
+            isinstance(v, _SEQUENCES) and len(v) == 2 for v in base
+        )
+    except TypeError:  # a 0-d numpy array has no length
+        pairs = False
+    if not pairs:
+        raise GeometryError("prism domain spec field base must be a list of [x, y] number pairs")
+    vertices = [[number(x), number(y)] for x, y in base]
+    return build_right_prism(Polygon2D(vertices), number(spec["height"]))

@@ -47,6 +47,7 @@ SWEEP_COMMANDS = ("analytic", "simulate", "compare", "phase-map")
 SPEC_COMMANDS = ("analytic", "simulate", "compare")
 SIM_COMMANDS = ("simulate", "compare")
 
+BASE_PAIRS = "base must be a list of [x, y] number pairs"
 BIG = "9" * 400
 HUGE = "9" * 5000
 # (id, commands, flags changed (None drops one), job file content or None, message fragment)
@@ -75,7 +76,13 @@ BAD_INPUTS = [
     ("house-L-nan", SPEC_COMMANDS, {"--domain": '{"kind":"house","L":NaN}'}, None, "side length"),
     ("house-L-text", SPEC_COMMANDS, {"--domain": '{"kind":"house","L":"x"}'}, None, "not a number"),
     ("prism-base-text", SPEC_COMMANDS,
-     {"--domain": '{"kind":"prism","base":"x","height":1}'}, None, "not a number"),
+     {"--domain": '{"kind":"prism","base":"x","height":1}'}, None, BASE_PAIRS),
+    ("prism-base-number", SPEC_COMMANDS,
+     {"--domain": '{"kind":"prism","base":5,"height":1}'}, None, BASE_PAIRS),
+    ("prism-base-ragged", SPEC_COMMANDS,
+     {"--domain": '{"kind":"prism","base":[[0,0],[1,0],[0]],"height":1}'}, None, BASE_PAIRS),
+    ("prism-base-object", SPEC_COMMANDS,
+     {"--domain": '{"kind":"prism","base":{"a":1},"height":1}'}, None, BASE_PAIRS),
     # Specs take JSON numbers only: no bools, no numbers in strings, and no
     # integer beyond a float's range (BIG) or Python's digit limit (HUGE).
     ("house-L-true", SPEC_COMMANDS, {"--domain": '{"kind":"house","L":true}'}, None,
@@ -114,6 +121,10 @@ BAD_INPUTS = [
     # Jobs too large to run are refused before anything is allocated.
     ("rho-range-too-long", SWEEP_COMMANDS, {"--rho-list": None, "--rho": "0.1:3:1e-12"}, None,
      "more than 1000000 values"),
+    # Each axis holds at most 10^6 values, and so does the grid.
+    ("phase-map-grid-too-large", ("phase-map",),
+     {"--rho-list": None, "--rho": "1:1001:1", "--length-list": None, "--length": "1:1000:1"},
+     None, "1001000 cells, more than 1000000"),
     ("house-L1000-pairs", SIM_COMMANDS, {"--domain": '{"kind":"house","L":1000}'}, None,
      "physical memory"),
     ("rho-1e7-pairs", SIM_COMMANDS, {"--rho-list": "1e7"}, None, "physical memory"),
@@ -359,6 +370,23 @@ class TestSimulate:
         svg = ET.parse(tmp_path / "simulation.svg").getroot()
         assert svg.tag == "{http://www.w3.org/2000/svg}svg"
         assert "simulated outage" in [e.text for e in svg.iter()]
+
+    def test_range_gives_the_list_densities(self, runner, tmp_path):
+        # 0.1:0.15:0.05 holds 0.15 itself, not 0.15000000000000002, so on a
+        # box of volume 10 the second density has N = ceil(1.5 - 0.5) = 1.
+        box = '{"kind":"prism","base":[[0,0],[2,0],[2,5],[0,5]],"height":1}'
+        columns = []
+        for sweep in (["--rho", "0.1:0.15:0.05"], ["--rho-list", "0.1,0.15"]):
+            out = tmp_path / sweep[0]
+            res = runner.invoke(
+                main,
+                ["simulate", "--domain", box, "--model", MODEL, *sweep, "--trials", "5",
+                 "--threads", "1", "--out", str(out)],
+            )
+            assert res.exit_code == 0, res.output
+            _, rows = read_csv(out / "simulation.csv")
+            columns.append([row[:2] for row in rows])
+        assert columns[0] == columns[1] == [["0.1", "1"], ["0.15", "1"]]
 
     def test_requires_trials(self, runner, tmp_path):
         res = runner.invoke(

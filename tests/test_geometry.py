@@ -22,6 +22,7 @@ from prismnet.geometry import (
 )
 
 SQRT2 = math.sqrt(2.0)
+PAIRS = r"base must be a list of \[x, y\] number pairs"
 
 
 def cauchy_surface_area(vertices, n=500):
@@ -293,6 +294,28 @@ class TestHalfCylinderProperties:
         assert all(c.dihedral == 0.5 * np.pi for c in f.corners)
 
 
+houses = st.builds(build_house, st.floats(0.1, 10.0))
+
+
+class TestPrismIdentities:
+    """Every domain is a base extruded to its height, and each kind's base
+    has the closed-form area and perimeter of its shape."""
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(domain=st.one_of(houses, half_cylinders, convex_prisms()))
+    def test_volume_and_surface_area(self, domain):
+        base, h = domain.base, domain.height
+        assert domain.volume == base.area * h
+        assert domain.surface_area == 2.0 * base.area + base.perimeter * h
+        if domain.kind == "house":
+            L = domain.L
+            assert h == L
+            assert_allclose([base.area, base.perimeter], [1.25 * L**2, (3 + SQRT2) * L])
+        elif domain.kind == "half_cylinder":
+            r = domain.radius
+            assert_allclose([base.area, base.perimeter], [0.5 * np.pi * r**2, (np.pi + 2) * r])
+
+
 class TestHouseProperties:
     @settings(max_examples=60, deadline=None, database=None)
     @given(L=st.floats(-100.0, 100.0).map(lambda e: 10.0**e))
@@ -312,6 +335,58 @@ class TestHouseProperties:
         edges = build_house(1e-9).features().edges
         assert [(e.label, e.multiplicity) for e in edges] == [("E1", 4), ("E1", 9), ("E2", 2)]
         assert_allclose([e.measure for e in edges], [1e-9 / math.sqrt(2), 1e-9, 1e-9], rtol=1e-15)
+
+
+HEXAGON = [[2 * math.cos(k * math.pi / 3), 2 * math.sin(k * math.pi / 3)] for k in range(6)]
+RIGHT, OBLIQUE = 0.5 * np.pi, 0.75 * np.pi
+# Each kind's inventory, pinned: (label, codim, multiplicity, dihedral,
+# measure) per feature.  At these sizes the volumes and areas are each kind's
+# closed forms bit for bit: the house's 1.25 L^3 and (11 + 2 sqrt 2) L^2 / 2,
+# the half-cylinder's pi r^2 h / 2 and pi r^2 + 2 r h + pi r h.
+PINNED_FEATURES = [
+    (
+        build_house(5.0),
+        [
+            ("U", 0, 1, None, 156.25),
+            ("F", 1, 1, None, 172.85533905932738),
+            ("E1", 2, 4, RIGHT, 3.5355339059327378),
+            ("E1", 2, 9, RIGHT, 5.0),
+            ("E2", 2, 2, OBLIQUE, 5.0),
+            ("C1", 3, 6, RIGHT, 1.0),
+            ("C2", 3, 4, OBLIQUE, 1.0),
+        ],
+    ),
+    (
+        build_half_cylinder(5.0, 4.0),
+        [
+            ("U", 0, 1, None, 157.07963267948966),
+            ("F", 1, 1, None, 181.3716694115407),
+            ("E", 2, 2, RIGHT, 4.0),
+            ("E", 2, 2, RIGHT, 10.0),
+            ("E", 2, 2, RIGHT, 15.707963267948966),
+            ("C", 3, 4, RIGHT, 1.0),
+        ],
+    ),
+    (
+        build_right_prism(Polygon2D(HEXAGON), 3.0),
+        [
+            ("U", 0, 1, None, 31.176914536239792),
+            ("F", 1, 1, None, 56.78460969082653),
+            ("E1", 2, 12, RIGHT, 1.9999999999999998),
+            ("E2", 2, 6, 2.0943951023931957, 3.0),
+            ("C", 3, 12, 2.0943951023931957, 1.0),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "domain, want", PINNED_FEATURES, ids=["house", "half-cylinder", "hex-prism"]
+)
+def test_pinned_features(domain, want):
+    got = domain.features().all_features()
+    assert [(f.label, f.codim, f.multiplicity, f.dihedral) for f in got] == [w[:4] for w in want]
+    assert_allclose([f.measure for f in got], [w[4] for w in want], rtol=1e-15, atol=0)
 
 
 def reference_sample(domain, n, rng):
@@ -353,7 +428,6 @@ def reference_sample(domain, n, rng):
     return np.column_stack([xy, rng.random(n) * domain.height])
 
 
-HEXAGON = [[2 * math.cos(k * math.pi / 3), 2 * math.sin(k * math.pi / 3)] for k in range(6)]
 SAMPLED_DOMAINS = [
     build_house(5.0),
     build_half_cylinder(5.0, 4.0),
@@ -449,9 +523,11 @@ class TestSpecs:
             ({"kind": "house", "L": 10**400}, "too large"),
             ({"kind": "prism", "base": [[0, 0], [10**400, 0], [0, 1]], "height": 1}, "too large"),
             ({"kind": "prism", "base": [[0, 0], [1, 0], [0, 1]], "height": 10**400}, "too large"),
+            ({"kind": "prism", "base": 5, "height": 1}, PAIRS),
+            ({"kind": "prism", "base": np.array(5.0), "height": 1}, PAIRS),
         ],
         ids=["L-bool", "L-text", "h-numpy-bool", "vertex-bool", "vertex-text", "L-big-int",
-             "vertex-big-int", "height-big-int"],
+             "vertex-big-int", "height-big-int", "base-number", "base-numpy-scalar"],
     )
     def test_fields_are_json_numbers(self, spec, message):
         with pytest.raises(GeometryError, match=message):
