@@ -4,9 +4,11 @@ Analytic boundary-component expansion, Monte Carlo simulation, and a
 quadrature oracle that cross-validates the two.
 
 ``quadrature`` and ``simulator``, and the names re-exported from
-``simulator``, load on first access.  Only ``simulator`` loads scipy
-(scipy.spatial), so importing the package, or any command but ``simulate``
-and ``compare``, loads no scipy; the quadrature oracle runs on numpy alone.
+``simulator``, load on first access.  Only ``simulator`` loads scipy, and
+of it only the compiled extension ``scipy.spatial._distance_pybind``, for
+its squared pair distances; ``scipy.spatial``'s package is never imported.
+So importing the package, or any command but ``simulate`` and ``compare``,
+loads no scipy; the quadrature oracle runs on numpy alone.
 """
 
 import importlib

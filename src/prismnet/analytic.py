@@ -26,7 +26,7 @@ import numpy as np
 
 from .base import InputError
 from .channel import ConnectivityModel, bulk_mass, face_mass, mimo_mrc_2x2
-from .geometry import BoundaryFeature, FeatureSet, build_house
+from .geometry import BoundaryFeature, FeatureSet, build_house, check_size
 
 # Guard below the theta = pi degeneracy, where a corner flattens into an
 # edge and csc(theta) blows up.
@@ -234,11 +234,14 @@ def phase_map(beta: float, rho_grid, L_grid) -> list[tuple[float, float, str]]:
         for g in (rho_grid, L_grid)
     ):
         raise ValueError("phase-map grids must be finite, positive and strictly increasing")
-    for L in (L_grid[0], L_grid[-1]):
-        build_house(L)  # a house too small or too large for a float raises here
+    house = build_house(1.0)
+    with np.errstate(over="ignore", under="ignore"):
+        for L in (L_grid[0], L_grid[-1]):
+            # The volume and area of the house of side L, as the map scales them.
+            check_size(house.kind, house.volume * L**3, house.surface_area * L**2)
     unit = np.zeros((len(GROUP_ORDER), rho_grid.size))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite group raises below
-        for t in terms(build_house(1.0).features(), mimo_mrc_2x2(beta)):
+        for t in terms(house.features(), mimo_mrc_2x2(beta)):
             unit[t.codim] += t.contribution(rho_grid)
         # groups[codim, i, j]: the group at (L_grid[i], rho_grid[j]).
         measure_power = 3 - np.arange(len(GROUP_ORDER))

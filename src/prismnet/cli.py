@@ -41,7 +41,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 # Commands import the quadrature and simulator modules only when they run
-# (the simulator loads scipy); so the errors are caught by their base classes.
+# (the simulator loads scipy's compiled distance kernel); so the errors are
+# caught by their base classes.
 _CONFIG_ERRORS = (InputError, click.UsageError)
 # Numeric failures: QuadratureError and a closed form's OverflowError.
 _NUMERIC_ERRORS = ArithmeticError
@@ -292,11 +293,11 @@ def _breakdowns(job: Job):
 
 
 def _simulate(job: Job):
-    # Imported here, in the parent, so that pool workers fork with scipy
-    # loaded.  Its ~23k objects load with the cyclic GC paused, and then the
-    # whole heap (~46k) is frozen, so no collection walks it: not while it
-    # loads, not in the forked workers (whose copied-on-write pages it would
-    # dirty) and not at exit.
+    # Imported here, in the parent, so that pool workers fork with the
+    # distance kernel loaded.  Its ~5k objects load with the cyclic GC paused,
+    # and then the whole heap (~28k, most of it click's and numpy's) is
+    # frozen, so no collection walks it: not while it loads, not in the forked
+    # workers (whose copied-on-write pages it would dirty) and not at exit.
     gc.disable()
     try:
         from . import simulator

@@ -257,6 +257,14 @@ def _sample_triangle(fan, u1, u2):
     return np.stack([a + u1 * ab + u2 * ac for a, ab, ac in fan], axis=-1)
 
 
+def check_size(kind: str, volume: float, surface_area: float) -> None:
+    """Raise unless a ``kind`` domain's volume and surface area are finite and > 0."""
+    if not (math.isfinite(volume) and math.isfinite(surface_area)):
+        raise GeometryError(f"{kind} domain is too large: its volume or surface area overflows")
+    if not (volume > 0 and surface_area > 0):
+        raise GeometryError(f"{kind} domain is too small: its volume or surface area underflows")
+
+
 class Domain:
     """Right prism: a convex base (``Polygon2D`` or ``HalfDisk``) in the x-y
     plane extruded along z in [0, height].  A subclass names its ``kind`` and
@@ -272,15 +280,8 @@ class Domain:
         try:
             sizes = (self.volume, self.surface_area)
         except OverflowError:
-            sizes = (math.inf,)
-        if not all(math.isfinite(x) for x in sizes):
-            raise GeometryError(
-                f"{self.kind} domain is too large: its volume or surface area overflows"
-            )
-        if not all(x > 0 for x in sizes):
-            raise GeometryError(
-                f"{self.kind} domain is too small: its volume or surface area underflows"
-            )
+            sizes = (math.inf, math.inf)
+        check_size(self.kind, *sizes)
 
     @property
     def volume(self) -> float:

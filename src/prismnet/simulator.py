@@ -34,20 +34,55 @@ and parallel execution all produce identical aggregates.
 from __future__ import annotations
 
 import contextlib
+import importlib.machinery
+import importlib.util
 import math
 import os
+import sys
 import time
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from . import _kernel_py as _kernel
 from .base import DEFAULT_SEED, InputError
 from .channel import ConnectivityModel
 from .geometry import Domain
+
+
+def _load_pdist_sqeuclidean():
+    """scipy's compiled ``pdist_sqeuclidean``, the call that
+    ``scipy.spatial.distance.pdist(X, "sqeuclidean", out=...)`` ends in.
+
+    Its extension module is loaded from the installed scipy's directory under
+    its own name, or reused if that name is loaded already, so a process holds
+    one such module and ``scipy/spatial/__init__.py`` never runs.
+    """
+    name = "scipy.spatial._distance_pybind"
+    if name not in sys.modules:
+        found = importlib.util.find_spec("scipy")  # finds scipy without importing it
+        if found is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        folder = Path(found.origin).parent / "spatial"
+        paths = [folder / f"_distance_pybind{s}" for s in importlib.machinery.EXTENSION_SUFFIXES]
+        path = next((p for p in paths if p.is_file()), None)
+        if path is None:
+            from importlib.metadata import version
+
+            raise ImportError(
+                f"scipy {version('scipy')} has no {name}: "
+                f"searched {', '.join(map(str, paths))}"
+            )
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name].pdist_sqeuclidean
+
+
+_pdist_sqeuclidean = _load_pdist_sqeuclidean()
 
 # Names the pair-graph kernel in run manifests.
 BACKEND = "python"
@@ -144,8 +179,8 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 
 def run_trial(positions: np.ndarray, d2: np.ndarray) -> None:
     """Write a trial's squared pair distances, in pair order, into ``d2``,
-    from its (N, 3) node positions."""
-    pdist(positions, "sqeuclidean", out=d2)
+    from its (N, 3) node positions, with scipy's compiled kernel."""
+    _pdist_sqeuclidean(positions, out=d2)
 
 
 def trial_outcomes(

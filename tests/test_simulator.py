@@ -2,8 +2,12 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,8 @@ from prismnet.simulator import (
     trial_outcomes,
     trial_rng,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class PresetUniforms:
@@ -465,9 +471,44 @@ class TestWorkers:
         assert all(type(a) is int and a < b for a, b in ranges)
 
 
+class TestDistances:
+    """run_trial's compiled kernel writes scipy's pdist(X, "sqeuclidean") bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 39, 156, 1250])
+    def test_matches_pdist(self, n):
+        pos = build_house(10.0).sample(n, [trial_rng(7, n)])[0]
+        d2 = np.full(n * (n - 1) // 2, np.nan)
+        run_trial(pos, d2)
+        assert np.array_equal(d2, pdist(pos, "sqeuclidean"))
+
+    def test_writes_each_slot_of_a_batch(self):
+        ws = _kernel.Workspace(156, _kernel.batch_trials(156))
+        assert ws.trials == 10
+        ws.d2[...] = np.nan
+        pos = build_right_prism(HEX_BASE, 2.0).sample(156, [trial_rng(3, t) for t in range(10)])
+        for t in range(ws.trials):
+            run_trial(pos[t], ws.slot(t))
+        assert np.array_equal(ws.d2, np.concatenate([pdist(p, "sqeuclidean") for p in pos]))
+
+
 class TestBackends:
     def test_backend_exposed(self):
         assert BACKEND == "python"
+
+
+# Run as a script, so that spawned workers can import its main module.
+FRESH_WORKERS = """
+import multiprocessing, sys
+from prismnet.channel import mimo_mrc_2x2
+from prismnet.geometry import build_house
+from prismnet.simulator import SimConfig, estimate
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
+    cfg = SimConfig(domain=build_house(2.0), model=mimo_mrc_2x2(1.0), trials=200, rho=1.0)
+    serial, parallel = estimate(cfg, 1), estimate(cfg, 2)
+    assert serial == parallel, (serial, parallel)
+"""
 
 
 class TestDeterminism:
@@ -485,6 +526,19 @@ class TestDeterminism:
             parallel.fc_count,
             parallel.min_deg_ge1_count,
         )
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_parallel_matches_serial_in_fresh_workers(self, tmp_path, method):
+        # Workers that start without the parent's memory load the distance
+        # kernel themselves.
+        script = tmp_path / "fresh_workers.py"
+        script.write_text(FRESH_WORKERS)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        res = subprocess.run(
+            [sys.executable, str(script), method], cwd=tmp_path, env=env, capture_output=True,
+            text=True, timeout=300,
+        )
+        assert res.returncode == 0, res.stderr
 
     def test_seed_changes_stream(self):
         assert not np.array_equal(trial_rng(1, 0).random(8), trial_rng(2, 0).random(8))
