@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import InputError, spec_number
+from .base import InputError, read_spec
 
 MIMO_MRC_2X2 = "mimo_mrc_2x2"
 RAYLEIGH = "rayleigh"
@@ -175,11 +175,11 @@ def face_mass(model: ConnectivityModel) -> float:
     return np.pi * model.r0**2
 
 
-# The fields each family's spec may hold.
+# Each family's spec fields besides "family", and whether a spec must give each.
 _MODEL_FIELDS = {
-    MIMO_MRC_2X2: {"family", "beta", "eta"},
-    RAYLEIGH: {"family", "beta", "eta"},
-    HARD_DISK: {"family", "r0"},
+    MIMO_MRC_2X2: {"beta": True, "eta": False},
+    RAYLEIGH: {"beta": True, "eta": False},
+    HARD_DISK: {"r0": True},
 }
 
 
@@ -190,25 +190,7 @@ def model_from_spec(spec: dict) -> ConnectivityModel:
         {"family": "rayleigh", "beta": 1.0, "eta": 2.0}
         {"family": "hard_disk", "r0": 1.0}
     """
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ModelError("model spec must be an object with a 'family' field")
-    family = spec["family"]
-    if not isinstance(family, str) or family not in _MODEL_FIELDS:
-        raise ModelError(f"unknown model family {family!r}")
-    extra = sorted(map(str, spec.keys() - _MODEL_FIELDS[family]))
-    if extra:
-        raise ModelError(f"{family} model spec has unknown field(s): {', '.join(extra)}")
-
-    def number(value):
-        return spec_number(value, f"{family} model spec field", ModelError)
-
-    try:
-        if family == HARD_DISK:
-            return hard_disk(number(spec["r0"]))
-        return ConnectivityModel(family, number(spec["beta"]), number(spec.get("eta", 2.0)))
-    except ModelError:
-        raise
-    except KeyError as exc:
-        raise ModelError(f"model spec missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ModelError(f"model spec field is not a number: {exc}") from exc
+    family, number = read_spec(spec, "model", "family", _MODEL_FIELDS, ModelError)
+    if family == HARD_DISK:
+        return hard_disk(number(spec["r0"]))
+    return ConnectivityModel(family, number(spec["beta"]), number(spec.get("eta", 2.0)))

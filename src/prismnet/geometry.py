@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .base import InputError, spec_number
+from .base import InputError, read_spec
 
 # Tolerance (relative to the coordinate scale) below which two vertices are
 # considered coincident.
@@ -395,7 +395,7 @@ class HalfCylinder(Domain):
     kind = "half_cylinder"
 
     def __init__(self, radius: float, height: float):
-        if not all(math.isfinite(x) and x > 0 for x in (radius, height)):
+        if not (math.isfinite(radius) and radius > 0):
             raise GeometryError("half-cylinder radius and height must be positive and finite")
         super().__init__(HalfDisk(float(radius)), height)
 
@@ -419,11 +419,11 @@ def build_right_prism(base: Polygon2D, h: float) -> RightPrism:
     return RightPrism(base, h)
 
 
-# The fields each kind's spec may hold.
+# Each kind's spec fields besides "kind"; a spec must give every one.
 _DOMAIN_FIELDS = {
-    "house": {"kind", "L"},
-    "half_cylinder": {"kind", "r", "h"},
-    "prism": {"kind", "base", "height"},
+    "house": {"L": True},
+    "half_cylinder": {"r": True, "h": True},
+    "prism": {"base": True, "height": True},
 }
 # What a prism spec's base and each of its vertices may be: a JSON array, or
 # a numpy array or tuple passed in by a library caller.
@@ -437,21 +437,7 @@ def domain_from_spec(spec: dict) -> Domain:
         {"kind": "half_cylinder", "r": 5.0, "h": 4.0}
         {"kind": "prism", "base": [[x, y], ...], "height": h}
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise GeometryError("domain spec must be an object with a 'kind' field")
-    kind = spec["kind"]
-    if not isinstance(kind, str) or kind not in _DOMAIN_FIELDS:
-        raise GeometryError(f"unknown domain kind {kind!r}")
-    extra = sorted(map(str, spec.keys() - _DOMAIN_FIELDS[kind]))
-    if extra:
-        raise GeometryError(f"{kind} domain spec has unknown field(s): {', '.join(extra)}")
-    missing = sorted(_DOMAIN_FIELDS[kind] - spec.keys())
-    if missing:
-        raise GeometryError(f"domain spec missing field {missing[0]!r}")
-
-    def number(value):
-        return spec_number(value, f"{kind} domain spec field", GeometryError)
-
+    kind, number = read_spec(spec, "domain", "kind", _DOMAIN_FIELDS, GeometryError)
     if kind == "house":
         return build_house(number(spec["L"]))
     if kind == "half_cylinder":

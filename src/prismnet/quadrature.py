@@ -10,21 +10,21 @@ module integrates H and H' with none of that algebra.  The inner rows
 compare against ``analytic``'s own numbers, for any smooth link family:
 the feature's exponent rate plus A times the probe's depths.
 
-Every inner integral is one radial quadrature of H or H' against a
-polynomial weight: the angular and chord coordinates of the wedge, face and
-bulk geometries are integrated by hand (they enter only through sine/cosine
-and polynomial factors), and the radial coordinate is integrated
-numerically with truncation at the radius where H drops below ~1e-18.
+Every inner integral is one radial quadrature of H, H' or both (on shared
+nodes) against polynomial weights: the angular and chord coordinates of
+the wedge, face and bulk geometries are integrated by hand (they enter
+only through sine/cosine and polynomial factors), and the radial
+coordinate is integrated numerically with truncation at the radius where
+H drops below ~1e-18.
 
 Every integral goes through ``_quad``, an adaptive Gauss-Kronrod rule in
 numpy on QUADPACK's 21-point nodes (qk21), with |K21 - G10| as a panel's
 error.  It starts from 8 equal panels and evaluates the integrand once per
 pass, on the nodes of every open panel at once; H and H' are the
 simulator's own array functions.  It is done when the panels' errors sum
-to at most max(1e-13, 1e-11 |I|) (``_QUAD_OPTS``).  An integral that needs
-more than 200 panels, or whose integrand is not finite, raises
-``QuadratureError``, which the CLI reports as exit 3.  The module loads no
-scipy.
+to at most max(1e-13, 1e-11 |I|).  An integral that needs more than 200
+panels, or whose integrand is not finite, raises ``QuadratureError``,
+which the CLI reports as exit 3.  The module loads no scipy.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from .geometry import BoundaryFeature
 # family (the MIMO form carries a polynomial factor: e^-50 * (50^2 + 2) < 5e-19).
 _EXP_CUTOFF = 50.0
 
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-11, limit=200)
+# ``_quad``'s absolute and relative tolerances and its panel limit.
+_EPSABS, _EPSREL, _LIMIT = 1e-13, 1e-11, 200
 
 
 class QuadratureError(ArithmeticError):
@@ -112,25 +113,24 @@ def _quad(func, a: float, b: float):
     for k integrands on shared nodes, which give a list of k results.  Each
     pass evaluates it once on the 21 nodes of every open panel, and a
     panel's error is |K21 - G10|.  The integral is done when the accepted
-    and open panels' errors sum to max(epsabs, epsrel |I|) or less, in every
-    row.  Until then each panel whose error exceeds its length's share of
-    that tolerance is bisected and the others are accepted.
+    and open panels' errors sum to max(_EPSABS, _EPSREL |I|) or less, in
+    every row.  Until then each panel whose error exceeds its length's share
+    of that tolerance is bisected and the others are accepted.
     """
-    epsabs, epsrel, limit = (_QUAD_OPTS[k] for k in ("epsabs", "epsrel", "limit"))
     edges = np.linspace(a, b, _FIRST_PANELS + 1)
     mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     done = 0.0  # the accepted panels' value and error sums, one pair per row
     accepted = 0
     while True:
-        if accepted + mid.size > limit:
+        if accepted + mid.size > _LIMIT:
             raise QuadratureError(
-                f"quadrature on [{a:.6g}, {b:.6g}] needs more than {limit} panels"
+                f"quadrature on [{a:.6g}, {b:.6g}] needs more than {_LIMIT} panels"
             )
         rule = _kronrod(func, mid, half)
         sums = (done + rule.sum(axis=1)).tolist()
         if not all(math.isfinite(v) and math.isfinite(e) for v, e in sums):
             raise QuadratureError(f"the integrand is not finite on [{a:.6g}, {b:.6g}]")
-        tol = [max(epsabs, epsrel * abs(v)) for v, _ in sums]
+        tol = [max(_EPSABS, _EPSREL * abs(v)) for v, _ in sums]
         if all(e <= t for (_, e), t in zip(sums, tol)):
             values = [v for v, _ in sums]
             return values if len(values) > 1 else values[0]
@@ -146,14 +146,15 @@ def _quad(func, a: float, b: float):
         half = np.concatenate((half, half))
 
 
-def _radial(model: ConnectivityModel, weight, upper: float = math.inf, slope: bool = False):
-    """int_0^upper weight(s) H(s) ds, or H'(s) with ``slope``; upper is capped at r_max."""
-    f = h_prime if slope else h
-    return _quad(lambda s: weight(s) * f(model, s), 0.0, min(upper, r_max(model)))
+def _radial(model: ConnectivityModel, weights, upper: float):
+    """int_0^upper w H ds and int_0^upper w' H' ds on shared nodes, where
+    (w, w') = weights(s); upper is capped at r_max."""
 
+    def rows(s):
+        w, w_prime = weights(s)
+        return w * h(model, s), w_prime * h_prime(model, s)
 
-def _square(s):
-    return s * s
+    return _quad(rows, 0.0, min(upper, r_max(model)))
 
 
 def _wedge_j_integrals(model: ConnectivityModel):
@@ -166,12 +167,7 @@ def _wedge_j_integrals(model: ConnectivityModel):
     int s^2 H', integrated on shared nodes.  ``_edge_j`` turns them into an
     edge's.
     """
-
-    def moments(s):
-        s2 = s * s
-        return s2 * h(model, s), s2 * h_prime(model, s)
-
-    m0, m1 = _quad(moments, 0.0, r_max(model))
+    m0, m1 = _radial(model, lambda s: (s * s,) * 2, math.inf)
     return m0, 0.5 * m1, 0.25 * np.pi * m1
 
 
@@ -190,27 +186,26 @@ def _wedge_mass(theta: float, J, r2: float, theta2: float, z2: float = 0.0) -> f
     return theta * J1 - theta * z2 * J2 - r2 * ang * J3
 
 
-def _face_zeroth(R: float, model: ConnectivityModel) -> float:
-    """Link mass over the ball of radius R from a probe on its surface.
+def _face_masses(R: float, model: ConnectivityModel) -> tuple[float, float]:
+    """Link mass over the ball of radius R from a probe on its surface, and
+    its slope d(inner mass)/d(r2) at r2 = R, from one radial quadrature.
 
-    Spherical-coordinate integral of r1^2 sin(theta) H(dist) with phi
-    pre-integrated and the polar angle substituted by the chord length u;
-    for fixed u the radius r1 runs over [|R - u|, R], and int r1 dr1 over
-    it is u (2R - u) / 2, leaving (pi / R) int_0^2R u^2 (2R - u) H(u) du.
+    The mass is the spherical-coordinate integral of r1^2 sin(theta) H(dist)
+    with phi pre-integrated and the polar angle substituted by the chord
+    length u; for fixed u the radius r1 runs over [|R - u|, R], and
+    int r1 dr1 over it is u (2R - u) / 2, leaving
+    (pi / R) int_0^2R u^2 (2R - u) H(u) du.  The slope's first-order
+    integrand has weight r1 (R^2 - r1^2 + u^2) H'(u); over the same r1 it
+    integrates to u^2 (4R^2 - u^2) / 4.  Written this way the weight has no
+    cancellation, even at R = 1e6.
     """
-    return np.pi / R * _radial(model, lambda u: u * u * (2.0 * R - u), 2.0 * R)
 
+    def weights(u):
+        u2 = u * u
+        return u2 * (2.0 * R - u), u2 * (4.0 * R * R - u2)
 
-def _face_slope(R: float, model: ConnectivityModel) -> float:
-    """d(inner mass)/d(r2) at r2 = R, from the first-order integrand.
-
-    The chord form has weight r1 (R^2 - r1^2 + u^2) H'(u); over r1 in
-    [|R - u|, R] it integrates to u^2 (4R^2 - u^2) / 4.  Written this way
-    the weight has no cancellation, even at R = 1e6.
-    """
-    return np.pi / (4.0 * R * R) * _radial(
-        model, lambda u: u * u * (4.0 * R * R - u * u), 2.0 * R, slope=True
-    )
+    zeroth, slope = _radial(model, weights, 2.0 * R)
+    return np.pi / R * zeroth, np.pi / (4.0 * R * R) * slope
 
 
 def inner_face(R: float, model: ConnectivityModel, r2: float) -> float:
@@ -224,7 +219,8 @@ def inner_face(R: float, model: ConnectivityModel, r2: float) -> float:
         raise ValueError("sphere radius must be positive")
     if not 0.0 <= r2 <= R:
         raise ValueError("probe radius must lie in [0, R]")
-    return _face_zeroth(R, model) + (r2 - R) * _face_slope(R, model)
+    zeroth, slope = _face_masses(R, model)
+    return zeroth + (r2 - R) * slope
 
 
 def inner_bulk(model: ConnectivityModel) -> float:
@@ -233,7 +229,7 @@ def inner_bulk(model: ConnectivityModel) -> float:
     The bulk expansion has no first-order term: its angular factor
     cos(theta) sin(theta) integrates to zero over [0, pi].
     """
-    return 4.0 * np.pi * _radial(model, _square)
+    return 4.0 * np.pi * _quad(lambda s: s * s * h(model, s), 0.0, r_max(model))
 
 
 def outer_integral(feature: BoundaryFeature, model: ConnectivityModel, rho: float) -> float:
@@ -254,8 +250,8 @@ def outer_integral(feature: BoundaryFeature, model: ConnectivityModel, rho: floa
         return feature.measure * math.exp(-rho * inner_bulk(model))
     if feature.codim == 1:
         R = math.sqrt(feature.measure / (4.0 * np.pi))
-        A = _face_zeroth(R, model)
-        B = -_face_slope(R, model)  # inner = A + B (R - r2)
+        A, slope = _face_masses(R, model)
+        B = -slope  # inner = A + B (R - r2)
         # The integrand lives in a layer of width ~1/(rho B) below r2 = R;
         # integrate the depth t = R - r2 over that layer only.
         depth = min(R, _EXP_CUTOFF / (rho * B))

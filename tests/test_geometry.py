@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.spatial import ConvexHull
 
+from prismnet.channel import ModelError, model_from_spec
 from prismnet.geometry import (
     BoundaryFeature,
     GeometryError,
@@ -479,38 +481,51 @@ class TestSpecs:
             assert_allclose(d2.volume, d.volume, rtol=1e-12)
 
     def test_errors(self):
-        with pytest.raises(GeometryError):
-            domain_from_spec({"kind": "torus"})
-        with pytest.raises(GeometryError):
-            domain_from_spec({"kind": "house"})
-        with pytest.raises(GeometryError):
-            domain_from_spec([1, 2, 3])
-        with pytest.raises(GeometryError, match="must be an object"):
-            domain_from_spec('{"kind": "house", "L": 5.0}')
+        # The reader's whole messages, as the CLI prints them.
+        not_an_object = "domain spec must be an object with a 'kind' field"
+        field = "domain spec field"
+        pairs = f"prism {field} base must be a list of [x, y] number pairs"
+        for spec, message in (
+            ({"kind": "torus"}, "unknown domain kind 'torus'"),
+            ({"kind": "house"}, "domain spec missing field 'L'"),
+            # Of several missing fields, the first in sorted order.
+            ({"kind": "half_cylinder"}, "domain spec missing field 'h'"),
+            ([1, 2, 3], not_an_object),
+            ('{"kind": "house", "L": 5.0}', not_an_object),
+            (
+                {"kind": "house", "L": 5, "height": 1, "Z": 1},
+                "house domain spec has unknown field(s): Z, height",
+            ),
+            ({"kind": "house", "L": "x"}, f"house {field} is not a number: 'x'"),
+            (
+                {"kind": "half_cylinder", "r": [1.0], "h": 1.0},
+                f"half_cylinder {field} is not a number: [1.0]",
+            ),
+            ({"kind": "prism", "base": "x", "height": 1.0}, pairs),
+            ({"kind": "prism", "base": [[0, 0], [1, 0], [0]], "height": 1.0}, pairs),
+            (
+                {"kind": "prism", "base": [[0, 0], [1, 0], [0, 1]], "height": "x"},
+                f"prism {field} is not a number: 'x'",
+            ),
+        ):
+            with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+                domain_from_spec(spec)
         with pytest.raises(GeometryError):
             build_house(-1.0)
-        with pytest.raises(GeometryError):
+        bad_height = "^half_cylinder height must be positive and finite$"
+        with pytest.raises(GeometryError, match=bad_height):
             build_half_cylinder(1.0, 0.0)
         for bad in (math.nan, math.inf):
             with pytest.raises(GeometryError):
                 build_house(bad)
             with pytest.raises(GeometryError):
                 build_half_cylinder(bad, 1.0)
-            with pytest.raises(GeometryError):
+            with pytest.raises(GeometryError, match=bad_height):
                 build_half_cylinder(1.0, bad)
             with pytest.raises(GeometryError):
                 build_right_prism(Polygon2D([[0, 0], [1, 0], [0, 1]]), bad)
             with pytest.raises(GeometryError):
                 Polygon2D([[0, 0], [1, 0], [bad, 1]])
-        for spec in (
-            {"kind": "house", "L": "x"},
-            {"kind": "half_cylinder", "r": [1.0], "h": 1.0},
-            {"kind": "prism", "base": "x", "height": 1.0},
-            {"kind": "prism", "base": [[0, 0], [1, 0], [0]], "height": 1.0},
-            {"kind": "prism", "base": [[0, 0], [1, 0], [0, 1]], "height": "x"},
-        ):
-            with pytest.raises(GeometryError):
-                domain_from_spec(spec)
 
     @pytest.mark.parametrize(
         "spec, message",
@@ -568,3 +583,62 @@ class TestSpecs:
     def test_unknown_field_named(self, spec, field):
         with pytest.raises(GeometryError, match=f"unknown field\\(s\\): {field}$"):
             domain_from_spec(spec)
+
+
+# Objects over the domain and model readers' discriminators and fields: a
+# kind and its fields, one time in four with more fields over them, and one
+# time in four with one field dropped.  The values mix the readers' kinds,
+# sizes that build, numbers that overflow or are not finite, non-numbers and
+# bases of every shape.
+SPEC_SHAPES = [
+    ("kind", "house", ["L"]),
+    ("kind", "half_cylinder", ["r", "h"]),
+    ("kind", "prism", ["base", "height"]),
+    ("family", "mimo_mrc_2x2", ["beta", "eta"]),
+    ("family", "rayleigh", ["beta", "eta"]),
+    ("family", "hard_disk", ["r0"]),
+]
+SPEC_FIELDS = st.sampled_from(
+    ["kind", "family", "L", "r", "h", "base", "height", "beta", "eta", "r0"]
+)
+SPEC_SIZES = st.floats(0.5, 20.0) | st.sampled_from([2, 3.0])
+SPEC_NUMBERS = SPEC_SIZES | st.sampled_from([0, -1, 10**400]) | st.floats()
+SPEC_VALUES = (
+    SPEC_NUMBERS
+    | st.integers()
+    | st.sampled_from([kind for _, kind, _ in SPEC_SHAPES])
+    | st.lists(st.lists(SPEC_NUMBERS, max_size=3), max_size=4)
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=3)
+    | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+)
+
+
+@st.composite
+def spec_objects(draw):
+    key, kind, fields = draw(st.sampled_from(SPEC_SHAPES))
+    spec = {key: kind}
+    # Three times in four a field gets what a spec takes: a size or a base.
+    for field in fields:
+        likely = st.just([[0, 0], [2, 0], [2, 1], [0, 1]]) if field == "base" else SPEC_SIZES
+        spec[field] = draw(likely if draw(st.integers(0, 3)) else SPEC_VALUES)
+    if not draw(st.integers(0, 3)):
+        spec.update(draw(st.dictionaries(SPEC_FIELDS, SPEC_VALUES, min_size=1, max_size=3)))
+    if not draw(st.integers(0, 3)):
+        del spec[draw(st.sampled_from(sorted(spec)))]
+    return spec
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(spec_objects())
+def test_any_spec_object_builds_or_raises_the_readers_error(spec):
+    # Each reader builds what reads back to its own spec, or raises its own
+    # error; no other exception escapes either.
+    for read, error in ((domain_from_spec, GeometryError), (model_from_spec, ModelError)):
+        try:
+            built = read(spec)
+        except error:
+            continue
+        written = json.loads(json.dumps(built.to_spec()))
+        assert read(written).to_spec() == written

@@ -21,18 +21,14 @@ from prismnet.channel import (
 from prismnet.cli import main
 from prismnet.geometry import BoundaryFeature, build_house
 from prismnet.quadrature import (
-    _QUAD_OPTS,
     QuadratureError,
     _closed_face,
     _closed_wedge,
     _edge_j,
-    _face_slope,
-    _face_zeroth,
+    _face_masses,
     _inner_rows,
     _kronrod,
     _quad,
-    _radial,
-    _square,
     _wedge_j_integrals,
     _wedge_mass,
     inner_bulk,
@@ -95,7 +91,10 @@ class TestIntegrator:
         assert_allclose(both, [_quad(gauss, 0.0, 1.0), _quad(smooth, 0.0, 1.0)], rtol=1e-14)
         m = mimo_mrc_2x2(1.0)
         J1, J2, _ = _wedge_j_integrals(m)
-        separate = (_radial(m, _square), 0.5 * _radial(m, _square, slope=True))
+        separate = [
+            c * _quad(lambda s: s * s * f(m, s), 0.0, r_max(m))
+            for c, f in ((1.0, h), (0.5, h_prime))
+        ]
         assert_allclose((J1, J2), separate, rtol=1e-14)
 
     def test_divergent_integrand_raises_within_limit(self):
@@ -103,14 +102,14 @@ class TestIntegrator:
         with pytest.raises(QuadratureError, match="needs more than 200 panels"):
             _quad(f, 0.0, 1.0)
         # A pass evaluates only open panels, and each split replaces one.
-        assert sum(f.calls) <= 21 * 2 * _QUAD_OPTS["limit"]
+        assert sum(f.calls) <= 21 * 2 * quadrature._LIMIT
 
     def test_non_finite_integrand_raises(self):
         with pytest.raises(QuadratureError, match="not finite"):
             _quad(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
 
     def test_validate_exits_3_past_the_limit(self, monkeypatch, tmp_path):
-        monkeypatch.setitem(_QUAD_OPTS, "limit", 1)
+        monkeypatch.setattr(quadrature, "_LIMIT", 1)
         res = CliRunner().invoke(main, ["validate", "--out", str(tmp_path / "out")])
         assert res.exit_code == 3, res.output
         assert isinstance(res.exception, SystemExit), res.exception
@@ -367,7 +366,7 @@ def _cartesian_j_integrals(model):
 
 
 def _nested_face(R, model, slope):
-    """_face_slope (``slope``) or _face_zeroth as an r1 integral of chord-length integrals."""
+    """_face_masses' slope (``slope``) or mass as an r1 integral of chord-length integrals."""
     rm = r_max(model)
 
     def chord(r1):
@@ -400,10 +399,5 @@ class TestRadialReduction:
     @pytest.mark.parametrize("R", [0.5, 3.0, 10.0])
     @MODELS
     def test_face_matches_nested(self, model, R):
-        assert_allclose(_face_zeroth(R, model), _nested_face(R, model, slope=False), rtol=1e-9)
-        assert_allclose(_face_slope(R, model), _nested_face(R, model, slope=True), rtol=1e-9)
-
-    @pytest.mark.parametrize("R", [0.5, 3.0, 10.0])
-    def test_hard_disk_face_matches_nested(self, R):
-        m = hard_disk(1.0)
-        assert_allclose(_face_zeroth(R, m), _nested_face(R, m, slope=False), rtol=1e-9)
+        nested = [_nested_face(R, model, slope) for slope in (False, True)]
+        assert_allclose(_face_masses(R, model), nested, rtol=1e-9)
