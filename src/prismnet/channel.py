@@ -1,6 +1,8 @@
 """Pair connectedness functions H(r) and their full-space connection masses.
 
-Three link families are provided:
+Three link families are provided.  Each smooth one is also a term table,
+H = sum c s^p exp(-a s^eta) in s = r / r0, whose term-wise derivative is H'
+and whose radial moments are the connection masses:
 
 * ``mimo_mrc_2x2`` -- 2x2 MIMO with transmit beamforming and MRC reception
   over i.i.d. Rayleigh channels, path-loss exponent fixed at 2:
@@ -14,6 +16,7 @@ effective communication range is r0 = beta^(-1/eta).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +27,9 @@ from .base import InputError, read_spec
 MIMO_MRC_2X2 = "mimo_mrc_2x2"
 RAYLEIGH = "rayleigh"
 HARD_DISK = "hard_disk"
+
+# The term tables, as (c, p, a); ``h_of_d2``, which simulated links u < H read, keeps its own form.
+_TERMS = {MIMO_MRC_2X2: ((1, 4, 1), (2, 0, 1), (-1, 0, 2)), RAYLEIGH: ((1, 0, 1),)}
 
 
 class ModelError(InputError):
@@ -37,7 +43,7 @@ class ConnectivityModel:
     eta: float
 
     def __post_init__(self):
-        if self.family not in (MIMO_MRC_2X2, RAYLEIGH, HARD_DISK):
+        if self.family not in _MODEL_FIELDS:
             raise ModelError(f"unknown family {self.family!r}")
         if not (math.isfinite(self.beta) and self.beta > 0):
             raise ModelError("beta must be positive and finite")
@@ -56,7 +62,7 @@ class ConnectivityModel:
     @property
     def smooth(self) -> bool:
         """True when H is differentiable (needed by the quadrature oracle)."""
-        return self.family != HARD_DISK
+        return self.family in _TERMS
 
     def to_spec(self) -> dict:
         """The spec ``model_from_spec`` builds this model from."""
@@ -133,31 +139,31 @@ def h_of_d2(model: ConnectivityModel, d2) -> np.ndarray:
 
 
 def h_prime(model: ConnectivityModel, r) -> np.ndarray | float:
-    """dH/dr, used by the quadrature oracle.  Smooth families only."""
+    """dH/dr from the term table, used by the quadrature oracle.  Smooth families only."""
     if not model.smooth:
         raise ModelError("hard-disk H has no derivative")
-    r = _distance(r)
-    b = model.beta
-    if model.family == MIMO_MRC_2X2:
-        x = b * r * r
-        e = np.exp(-x)
-        dh_dx = e * (2.0 * x - x * x - 2.0 + 2.0 * e)
-        out = dh_dx * 2.0 * b * r
-    else:
-        eta = model.eta
-        out = -b * eta * np.power(r, eta - 1.0) * np.exp(-b * np.power(r, eta))
+    s = _distance(r) / model.r0
+    s_eta, eta, out = np.power(s, model.eta), model.eta, 0.0
+    for c, p, a in _TERMS[model.family]:
+        # d/ds of s^p e^(-a s^eta) is (p s^(p-1) - a eta s^(p+eta-1)) e^(-a s^eta).
+        ds = (p * np.power(s, p - 1.0) if p else 0.0) - a * eta * np.power(s, p + eta - 1.0)
+        out = out + c / model.r0 * ds * np.exp(-a * s_eta)
     return float(out) if out.ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=64)
+def _moment(model: ConnectivityModel, k: int) -> float:
+    """int_0^inf r^k H(r) dr = r0^(k+1) sum c Gamma(q) / (eta a^q), q = (k+1+p) / eta."""
+    scale, eta = model.beta ** (-(k + 1) / model.eta), model.eta
+    if not model.smooth:  # the hard disk: int_0^r0 r^k dr
+        return scale / (k + 1)
+    qs = ((c, (k + 1 + p) / eta, a) for c, p, a in _TERMS[model.family])
+    return scale * sum(c * math.gamma(q) / (eta * a**q) for c, q, a in qs)
 
 
 def bulk_mass(model: ConnectivityModel) -> float:
     """Full-space connection mass M = 4 pi * int_0^inf r^2 H(r) dr."""
-    b = model.beta
-    if model.family == MIMO_MRC_2X2:
-        return (23.0 - math.sqrt(2.0)) / 4.0 * (np.pi / b) ** 1.5
-    if model.family == RAYLEIGH:
-        # 4 pi / eta * Gamma(3/eta) * beta^(-3/eta); finite for all eta > 0.
-        return 4.0 * np.pi / model.eta * math.gamma(3.0 / model.eta) * b ** (-3.0 / model.eta)
-    return 4.0 / 3.0 * np.pi * model.r0**3
+    return 4.0 * np.pi * _moment(model, 2)
 
 
 def face_mass(model: ConnectivityModel) -> float:
@@ -166,13 +172,7 @@ def face_mass(model: ConnectivityModel) -> float:
     A node at depth d below a flat face has link mass M/2 + A d to first
     order, so A sets every boundary term's prefactor.
     """
-    b = model.beta
-    if model.family == MIMO_MRC_2X2:
-        return 3.5 * np.pi / b
-    if model.family == RAYLEIGH:
-        # 2 pi / eta * Gamma(2/eta) * beta^(-2/eta).
-        return 2.0 * np.pi / model.eta * math.gamma(2.0 / model.eta) * b ** (-2.0 / model.eta)
-    return np.pi * model.r0**2
+    return 2.0 * np.pi * _moment(model, 1)
 
 
 # Each family's spec fields besides "family", and whether a spec must give each.

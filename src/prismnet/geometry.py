@@ -396,7 +396,7 @@ class HalfCylinder(Domain):
 
     def __init__(self, radius: float, height: float):
         if not (math.isfinite(radius) and radius > 0):
-            raise GeometryError("half-cylinder radius and height must be positive and finite")
+            raise GeometryError("half_cylinder radius must be positive and finite")
         super().__init__(HalfDisk(float(radius)), height)
 
     @property

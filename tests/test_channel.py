@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate
 
 from prismnet.channel import (
+    _TERMS,
     ModelError,
     bulk_mass,
     face_mass,
@@ -23,6 +24,7 @@ from prismnet.channel import (
     model_from_spec,
     rayleigh,
 )
+from prismnet.quadrature import r_max
 
 
 class TestMimoMrc:
@@ -44,26 +46,6 @@ class TestMimoMrc:
         r = np.linspace(0.0, 5.0, 200)
         assert_allclose(h(mimo_mrc_2x2(4.0), r), h(mimo_mrc_2x2(1.0), 2.0 * r), rtol=1e-13)
 
-    def test_h_prime_matches_finite_difference(self):
-        m = mimo_mrc_2x2(1.3)
-        r = np.linspace(0.05, 4.0, 50)
-        eps = 1e-6
-        fd = (h(m, r + eps) - h(m, r - eps)) / (2 * eps)
-        assert_allclose(h_prime(m, r), fd, atol=1e-8)
-        assert np.all(h_prime(m, r) <= 1e-15)
-
-    def test_bulk_mass_closed_form(self):
-        for beta in (0.5, 1.0, 2.0):
-            m = mimo_mrc_2x2(beta)
-            num, _ = integrate.quad(lambda r: 4 * np.pi * r * r * h(m, r), 0, 12 / math.sqrt(beta))
-            assert_allclose(bulk_mass(m), num, rtol=1e-10)
-            assert_allclose(bulk_mass(m), (23 - math.sqrt(2)) / 4 * (np.pi / beta) ** 1.5)
-
-    def test_bulk_mass_beta_scaling(self):
-        betas = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
-        vals = np.array([bulk_mass(mimo_mrc_2x2(b)) * b**1.5 for b in betas])
-        assert_allclose(vals, vals[0], rtol=1e-10)
-
     def test_requires_eta_2(self):
         with pytest.raises(ModelError):
             model_from_spec({"family": "mimo_mrc_2x2", "beta": 1.0, "eta": 3.0})
@@ -76,15 +58,6 @@ class TestRayleigh:
         m4 = rayleigh(1.0, 4.0)
         assert_allclose(h(m4, 2.0), math.exp(-16.0))
 
-    def test_bulk_mass_vs_quadrature(self):
-        for eta in (2.0, 3.0, 4.0):
-            m = rayleigh(0.7, eta)
-            num, _ = integrate.quad(lambda r: 4 * np.pi * r * r * h(m, r), 0, m.r0 * 60 ** (1 / eta))
-            assert_allclose(bulk_mass(m), num, rtol=1e-9)
-
-    def test_eta2_closed_form(self):
-        assert_allclose(bulk_mass(rayleigh(1.0, 2.0)), np.pi**1.5)
-
 
 class TestHardDisk:
     def test_step(self):
@@ -93,29 +66,9 @@ class TestHardDisk:
         assert h(m, 1.001) == 0.0
         assert m.r0 == pytest.approx(1.0)
 
-    def test_bulk_mass(self):
-        assert_allclose(bulk_mass(hard_disk(2.0)), 4.0 / 3.0 * np.pi * 8.0)
-
     def test_not_smooth(self):
         with pytest.raises(ModelError):
             h_prime(hard_disk(1.0), 0.5)
-
-
-class TestFaceMass:
-    @pytest.mark.parametrize(
-        "model",
-        [mimo_mrc_2x2(0.5), mimo_mrc_2x2(1.0), mimo_mrc_2x2(2.0), rayleigh(1.0, 2.0),
-         rayleigh(1.0, 3.0), rayleigh(0.5, 4.0), hard_disk(1.3)],
-        ids=lambda m: f"{m.family}-{m.beta:g}-{m.eta:g}",
-    )
-    def test_matches_quadrature(self, model):
-        # 2 pi int_0^inf r H(r) dr; H is below 1e-300 beyond 30 r0 for every
-        # smooth family here, and the hard disk's step lies at r0.
-        num, _ = integrate.quad(
-            lambda r: 2 * np.pi * r * h(model, r), 0, 30 * model.r0, points=[model.r0],
-            epsabs=0, epsrel=1e-13, limit=200,
-        )
-        assert_allclose(face_mass(model), num, rtol=1e-12)
 
 
 class TestSampling:
@@ -144,13 +97,73 @@ EXACT_MODELS = [
 ]
 
 
+def model_id(m):
+    return f"{m.family}-{m.beta}-{m.eta}"
+
+
+@pytest.mark.parametrize("model", [m for m in EXACT_MODELS if m.smooth], ids=model_id)
+class TestTermTable:
+    """The term tables that h_prime and the masses read, tied to h_of_d2 and h."""
+
+    def test_sum_matches_h_of_d2(self, model):
+        # Within a few ulps of 1, H's scale: the stream's u < H reads h_of_d2,
+        # which the term-wise sum equals bit for bit on only some points.
+        r = np.linspace(0.0, 12.0, 4801)
+        s = r / model.r0
+        table = sum(
+            c * np.power(s, p) * np.exp(-a * np.power(s, model.eta))
+            for c, p, a in _TERMS[model.family]
+        )
+        assert_allclose(table, h_of_d2(model, r * r), rtol=0, atol=4 * np.finfo(float).eps)
+
+    def test_h_prime_matches_central_differences(self, model):
+        r = np.linspace(0.05, 4.0, 50) * model.r0
+        eps = 1e-6 * model.r0
+        fd = (h(model, r + eps) - h(model, r - eps)) / (2 * eps)
+        assert_allclose(h_prime(model, r), fd, atol=1e-8 / model.r0)
+        assert np.all(h_prime(model, r) <= 1e-15)
+
+    def test_r_max_tail_negligible(self, model):
+        assert h(model, r_max(model)) < 1e-17
+
+
+class TestMasses:
+    @pytest.mark.parametrize("model", EXACT_MODELS, ids=model_id)
+    def test_match_quadrature(self, model):
+        # 4 pi int_0^inf r^2 H(r) dr and 2 pi int_0^inf r H(r) dr; H is below
+        # 1e-300 beyond 30 r0 for every smooth family here, and the hard
+        # disk's step lies at r0.
+        for mass, factor, k in ((bulk_mass, 4 * np.pi, 2), (face_mass, 2 * np.pi, 1)):
+            num, _ = integrate.quad(
+                lambda r: factor * r**k * h(model, r), 0, 30 * model.r0, points=[model.r0],
+                epsabs=0, epsrel=1e-13, limit=200,
+            )
+            assert_allclose(mass(model), num, rtol=1e-12)
+
+    CLOSED_FORMS = [
+        *(
+            (mimo_mrc_2x2(b), (23 - math.sqrt(2)) / 4 * (np.pi / b) ** 1.5, 7 * np.pi / (2 * b))
+            for b in (0.25, 0.5, 1.0, 2.0, 4.0)
+        ),
+        (rayleigh(1.0, 2.0), np.pi**1.5, np.pi),
+        (hard_disk(2.0), 4 * np.pi * 2.0**3 / 3, np.pi * 2.0**2),
+    ]
+
+    @pytest.mark.parametrize(
+        "model, bulk, face", CLOSED_FORMS, ids=[model_id(m) for m, _, _ in CLOSED_FORMS]
+    )
+    def test_closed_forms(self, model, bulk, face):
+        assert_allclose(bulk_mass(model), bulk, rtol=1e-15)
+        assert_allclose(face_mass(model), face, rtol=1e-15)
+
+
 class TestInPlaceExactness:
     """h_of_d2, whose later steps work in place on its first step's result,
     is bit-equal to the plain-operator form and leaves its input untouched."""
 
     D2 = np.concatenate([[0.0, 1.69, 1.69 * (1 + 2**-52)], np.linspace(0.0, 60.0, 5001) ** 1.5])
 
-    @pytest.mark.parametrize("model", EXACT_MODELS, ids=lambda m: f"{m.family}-{m.beta}-{m.eta}")
+    @pytest.mark.parametrize("model", EXACT_MODELS, ids=model_id)
     def test_arrays(self, model):
         want = reference_h_of_d2(model, self.D2)
         d2 = self.D2.copy()
@@ -162,7 +175,7 @@ class TestInPlaceExactness:
             assert np.array_equal(h_of_d2(model, part), reference_h_of_d2(model, part))
         assert np.array_equal(big[: d2.size], self.D2) and np.array_equal(big[d2.size :], self.D2)
 
-    @pytest.mark.parametrize("model", EXACT_MODELS, ids=lambda m: f"{m.family}-{m.beta}-{m.eta}")
+    @pytest.mark.parametrize("model", EXACT_MODELS, ids=model_id)
     def test_scalars(self, model):
         for v in (0.0, 0.3, 1.69, 7.5, 40.0):
             want = reference_h_of_d2(model, v)
@@ -179,12 +192,12 @@ class TestScalarExactness:
 
     R = np.concatenate([[0.0, 1.3, 1.3 * (1 + 2**-52)], np.sqrt(TestInPlaceExactness.D2[3::25])])
 
-    @pytest.mark.parametrize("model", EXACT_MODELS, ids=lambda m: f"{m.family}-{m.beta}-{m.eta}")
+    @pytest.mark.parametrize("model", EXACT_MODELS, ids=model_id)
     def test_h(self, model):
         self.check(h, model)
 
     @pytest.mark.parametrize(
-        "model", [m for m in EXACT_MODELS if m.smooth], ids=lambda m: f"{m.family}-{m.beta}-{m.eta}"
+        "model", [m for m in EXACT_MODELS if m.smooth], ids=model_id
     )
     def test_h_prime(self, model):
         self.check(h_prime, model)

@@ -515,11 +515,13 @@ class TestSpecs:
         bad_height = "^half_cylinder height must be positive and finite$"
         with pytest.raises(GeometryError, match=bad_height):
             build_half_cylinder(1.0, 0.0)
+        bad_radius = "^half_cylinder radius must be positive and finite$"
+        for r in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(GeometryError, match=bad_radius):
+                build_half_cylinder(r, 1.0)
         for bad in (math.nan, math.inf):
             with pytest.raises(GeometryError):
                 build_house(bad)
-            with pytest.raises(GeometryError):
-                build_half_cylinder(bad, 1.0)
             with pytest.raises(GeometryError, match=bad_height):
                 build_half_cylinder(1.0, bad)
             with pytest.raises(GeometryError):
