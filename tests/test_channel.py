@@ -93,6 +93,7 @@ def reference_h_of_d2(model, d2):
 EXACT_MODELS = [
     *(mimo_mrc_2x2(b) for b in (0.3, 0.5, 1.0, 2.0, 3.7, 7.0)),
     *(rayleigh(0.7, eta) for eta in (2.0, 2.5, 3.0, 4.0)),
+    rayleigh(1.0, 3.0),
     hard_disk(1.3),
 ]
 
