@@ -10,21 +10,43 @@ The uniforms, H and the link test run over blocks of BLOCK batch pairs,
 so their temporaries stay in cache; only the squared distances, which a
 ``Workspace`` holds for a run of batches, span all pairs.  A block may
 cross trial boundaries: it draws each trial's stretch of it from that
-trial's generator, so every trial's uniforms continue one stream.  The
-batch is then decided as one graph, the disjoint union of its trials'
+trial's generator, so every trial's uniforms continue one stream.
+
+Most pairs are too far apart to link, so a block evaluates H only on its
+candidates: the pairs whose uniform falls below an upper bound on H over
+their bin of squared distance, read from a per-model table.  H decreases in
+d2 for every family, so H at a bin's least d2, raised past its rounding,
+bounds the bin, and every bound is positive; the candidates then hold every
+pair with u < H, and the links are exactly those of u < H on every pair.
+
+The batch is then decided as one graph, the disjoint union of its trials'
 graphs, on the list of linked pairs, so no n x n array is allocated.
 ``workspace_bytes`` counts its worst-case peak.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .channel import ConnectivityModel, h_of_d2
 
-# Pairs per H block: a block's uniforms, its slice of d2 and H's two
-# temporaries, 256 KiB each, fit together in L2 cache.
+# Pairs per H block: a block's uniforms, bins, bounds and slice of d2,
+# 256 KiB each, and its candidates' indices, gathered u and d2 and H
+# temporaries, fit together in L2 cache.
 BLOCK = 1 << 15
+
+# The bound table's bins: a float64's bits shifted right by BIN_SHIFT keep
+# its exponent and its top 5 mantissa bits, so a non-negative d2's bin is
+# monotone in d2, and 32 bins, log-spaced, span each octave.  The table
+# holds TABLE_BINS of them, from r0^2 / 16 up, 10 octaves to 64 r0^2, where
+# H < 2^-53 for every family; take(mode="clip") maps the bins below its
+# first to its first entry, which bounds H(0), and those past its top to
+# its last.  The table's bins all lie below the bin of inf.
+BIN_SHIFT = 47
+TABLE_BINS = 10 * 32 + 1
+_INF_BIN = 0x7FF << (52 - BIN_SHIFT)
 
 # Pairs per batch: a batch holds BATCH // P trials, at least one, so small
 # trials share each numpy call.  At most MAX_TRIALS, which bounds the
@@ -79,9 +101,13 @@ class Workspace:
 # spent squared distances and k freed.  Joining the per-block link indices
 # holds two.
 LINK_ARRAYS = 4
-# A block's uniforms, H's two temporaries, its link test and the intp
-# indices of its links.
-BLOCK_BYTES = 8 + 8 + 8 + 1 + 8
+# A block's uniforms, bins (int64) and bounds, and, when every pair is a
+# candidate, the candidates' intp indices, their gathered u and d2 and H's
+# two temporaries; the candidate test and the link test, one byte each,
+# and the links' intp indices are alive only when fewer of these are.
+BLOCK_BYTES = 8 + 8 + 8 + 8 + 8 + 8 + 8 + 8
+# The bound table of the model in use, the one ``_bound_table`` keeps.
+TABLE_BYTES = 8 * TABLE_BINS
 # Per trial: its generator, about 950 bytes by tracemalloc's count, and its
 # share of the batch's bookkeeping, the sampler's included.  Per node: its
 # position (24 bytes) and the uniforms that sample it (up to 32), its
@@ -96,15 +122,40 @@ def workspace_bytes(n) -> float:
     the simulator's one memory model: per pair, 8 bytes of squared distance
     (later the link columns, as intp) and LINK_ARRAYS index arrays, 4-byte
     while the batch's pairs fit in int32; BLOCK_BYTES per pair of one H
-    block; TRIAL_BYTES per trial and NODE_BYTES per node."""
+    block and TABLE_BYTES of H bounds; TRIAL_BYTES per trial and NODE_BYTES
+    per node."""
     trials = batch_trials(n)
     pairs = 0.5 * n * (n - 1) * trials
     index = 4.0 if pairs < 2**31 else 8.0
     return (
         (8.0 + index * LINK_ARRAYS) * pairs
         + BLOCK_BYTES * min(pairs, BLOCK)
+        + TABLE_BYTES
         + (TRIAL_BYTES + NODE_BYTES * n) * trials
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _bound_table(model: ConnectivityModel) -> tuple[int, np.ndarray]:
+    """(first, bound): bound[i] >= h_of_d2(model, d2) for every d2 of bin
+    first + i, entry 0 taking every bin below and the last every bin above.
+
+    An entry is ``h_of_d2`` at its bin's least d2 (0 for entry 0) times
+    1 + 2^-40, then raised two ulps: that covers the rounding of H wherever
+    H >= 2^-53.  Below that only a uniform of exactly 0 links, and every
+    bound is positive, so such a pair is still a candidate.
+    """
+    # r0 * r0 rounds to inf past float64's range, where r0**2 would raise.
+    bits = np.float64(model.r0 * model.r0 / 16).view(np.int64)
+    first = min(int(bits) >> BIN_SHIFT, _INF_BIN - TABLE_BINS)
+    least = (np.arange(first, first + TABLE_BINS, dtype=np.int64) << BIN_SHIFT).view(float)
+    least[0] = 0.0
+    bound = h_of_d2(model, least)
+    bound *= 1.0 + 2.0**-40
+    for _ in range(2):
+        np.nextafter(bound, np.inf, out=bound)
+    bound.flags.writeable = False
+    return first, bound
 
 
 def _links(rngs, model: ConnectivityModel, ws: Workspace) -> np.ndarray:
@@ -113,18 +164,26 @@ def _links(rngs, model: ConnectivityModel, ws: Workspace) -> np.ndarray:
     Each block's uniforms are drawn just before its test, each trial's
     stretch from its own generator; consecutive draws continue one stream,
     so a trial's pair gets the same uniform as one draw of all its pairs
-    would give it.
+    would give it.  H is evaluated only on the block's candidates, the
+    pairs with u below their bin's bound.
     """
+    first, table = _bound_table(model)
     pairs = ws.pairs
     size = len(rngs) * pairs
-    u = np.empty(min(size, BLOCK))
+    m = min(size, BLOCK)
+    u, bins, bound = np.empty(m), np.empty(m, dtype=np.int64), np.empty(m)
     found = []
     for s in range(0, size, BLOCK):
         b = min(BLOCK, size - s)
         for t in range(s // pairs, (s + b - 1) // pairs + 1):
             lo, hi = max(s, t * pairs), min(s + b, (t + 1) * pairs)
             rngs[t].random(out=u[lo - s : hi - s])
-        k = np.flatnonzero(u[:b] < h_of_d2(model, ws.d2[s : s + b]))
+        d2 = ws.d2[s : s + b]
+        np.right_shift(d2.view(np.int64), BIN_SHIFT, out=bins[:b])
+        bins[:b] -= first
+        table.take(bins[:b], out=bound[:b], mode="clip")
+        c = np.flatnonzero(u[:b] < bound[:b])
+        k = c[u[:b].take(c) < h_of_d2(model, d2.take(c))]
         found.append(np.add(k, s, dtype=ws.index))
     return np.concatenate(found)
 

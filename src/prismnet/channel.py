@@ -144,10 +144,16 @@ def h_prime(model: ConnectivityModel, r) -> np.ndarray | float:
         raise ModelError("hard-disk H has no derivative")
     s = _distance(r) / model.r0
     s_eta, eta, out = np.power(s, model.eta), model.eta, 0.0
+    # d/ds of s^p e^(-a s^eta) is (p s^(p-1) - a eta s^(p+eta-1)) e^(-a s^eta): terms
+    # of equal p share their powers of s, and terms of equal a their exponential.
+    powers, exps = {}, {}
     for c, p, a in _TERMS[model.family]:
-        # d/ds of s^p e^(-a s^eta) is (p s^(p-1) - a eta s^(p+eta-1)) e^(-a s^eta).
-        ds = (p * np.power(s, p - 1.0) if p else 0.0) - a * eta * np.power(s, p + eta - 1.0)
-        out = out + c / model.r0 * ds * np.exp(-a * s_eta)
+        if p not in powers:
+            powers[p] = (p * np.power(s, p - 1.0) if p else 0.0), np.power(s, p + eta - 1.0)
+        if a not in exps:
+            exps[a] = np.exp(-a * s_eta)
+        rise, fall = powers[p]
+        out = out + c / model.r0 * (rise - a * eta * fall) * exps[a]
     return float(out) if out.ndim == 0 else out
 
 

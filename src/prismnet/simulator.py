@@ -16,15 +16,18 @@ its own generator, then one ``run_trial`` per trial that writes its squared
 distances.  Each chunk of trials allocates one workspace, and every batch
 writes into it: one float64 array of the batch's B N(N-1)/2 squared
 distances, i.e. 1 MB at N = 156, 6.2 MB at N = 1250 and 400 MB at
-N = 10,000.  The pair uniforms, H and the link test are temporaries of
-cache-sized blocks, and the link list grows with the number of links, not
-of pairs.  A run holds one batch per worker, and physical memory is their
-budget, each batch counted for the worst case, every pair linked, by
-``_kernel.workspace_bytes``: ``SimConfig`` refuses an N whose one worker
-exceeds it, and ``estimate`` runs no more workers than there are trials
-or workers that fit in it.  A sweep opens one pool, as wide as the most
-workers any of its densities gets, and each density's estimate submits
-its chunks to it, so the workers fork once per sweep, not once per density.
+N = 10,000.  The pair uniforms and the link test are temporaries of
+cache-sized blocks; a block evaluates H only on the pairs whose uniform
+falls below a per-model bound on H over their bin of squared distance,
+which holds every pair that links.  The link list grows with the number of
+links, not of pairs.  A run holds one batch per worker, and physical
+memory is their budget, each batch counted for the worst case, every pair
+linked, by ``_kernel.workspace_bytes``: ``SimConfig`` refuses an N whose
+one worker exceeds it, and ``estimate`` runs no more workers than there
+are trials or workers that fit in it.  A sweep opens one pool, as wide
+as the most workers any of its densities gets, and each density's estimate
+submits its chunks to it, so the workers fork once per sweep, not once per
+density.
 
 Trials are fully determined by (seed, trial_index): random numbers come
 from a per-trial generator seeded with that pair, so serial, reordered,

@@ -243,6 +243,76 @@ class TestKernelExactness:
                 assert [(bool(connected[0]), int(min_degree[0]))] == one_by_one(cfg, t, t + 1)
 
 
+# The bound table's models: MIMO across two decades of range either way,
+# Rayleigh at several exponents, and hard disks short and far past any domain.
+BOUNDED_MODELS = [
+    mimo_mrc_2x2(1e-3), mimo_mrc_2x2(1.0), mimo_mrc_2x2(40.0),
+    rayleigh(1.0, 2.0), rayleigh(0.3, 2.0), rayleigh(1.0, 3.0), rayleigh(2.0, 4.5),
+    hard_disk(0.8), hard_disk(100.0),
+]
+
+
+def model_id(model):
+    return f"{model.family}-{model.beta}-{model.eta}"
+
+
+def bin_probes(model, rng):
+    """Squared distances that probe each bin of the model's bound table: every
+    bin's least d2 and its neighbours, random points inside the table's bins,
+    below them and past its top, and 0.  Past the top they stop at 2^64 times
+    it, where MIMO's x^2 is still finite."""
+    first, bound = _kernel._bound_table(model)
+    bits = (first + np.arange(bound.size + 1, dtype=np.int64)) << _kernel.BIN_SHIFT
+    least = bits.view(float)
+    top = least[-1]
+    inside = rng.integers(bits[0], bits[-1], 4000)
+    below = rng.integers(0, bits[0], 200)
+    past = rng.integers(bits[-1], np.float64(top * 2.0**64).view(np.int64), 400)
+    return np.concatenate([
+        least, np.nextafter(least, 0.0), np.nextafter(least, np.inf),
+        np.concatenate([inside, below, past]).view(float), [0.0], top * 2.0 ** np.arange(65),
+    ])
+
+
+def bin_bounds(model, d2):
+    """Each d2's bound, read from the table as the kernel reads it."""
+    first, bound = _kernel._bound_table(model)
+    return bound.take((d2.view(np.int64) >> _kernel.BIN_SHIFT) - first, mode="clip")
+
+
+class TestBoundTable:
+    """The kernel evaluates H only where u falls below its bin's bound, so
+    every bound must be positive and at least H over its whole bin."""
+
+    @pytest.mark.parametrize("model", BOUNDED_MODELS, ids=model_id)
+    def test_bounds_cover_h(self, model):
+        d2 = bin_probes(model, np.random.default_rng(5))
+        assert (bin_bounds(model, d2) >= h_of_d2(model, d2)).all()
+        assert (_kernel._bound_table(model)[1] > 0).all()
+
+    @pytest.mark.parametrize("model", BOUNDED_MODELS, ids=model_id)
+    def test_boundary_uniforms_link_exactly(self, model):
+        # A batch of four trials of 200 nodes, three H blocks, whose squared
+        # distances are the probes in random order: uniforms of 0, of H and
+        # just below H link exactly the pairs of u < H on every pair.
+        rng = np.random.default_rng(6)
+        ws = _kernel.Workspace(200, 4)
+        assert ws.d2.size > 2 * _kernel.BLOCK
+        d2 = rng.choice(bin_probes(model, rng), ws.d2.size)
+        h = h_of_d2(model, d2)
+        for u, want in (
+            (np.zeros_like(h), np.flatnonzero(h > 0)),
+            (h, np.zeros(0, dtype=int)),
+            (np.nextafter(h, 0.0), np.flatnonzero(h > 0)),
+        ):
+            assert np.array_equal(np.flatnonzero(u < h), want)
+            ws.d2[...] = d2
+            rngs = [PresetUniforms(u[t * ws.pairs : (t + 1) * ws.pairs]) for t in range(4)]
+            assert np.array_equal(_kernel._links(rngs, model, ws), want)
+        # Far pairs, H = 0 included, and pairs that link both occur.
+        assert (h == 0).any() and (h > 0.5).any()
+
+
 HEX_BASE = Polygon2D(
     [[2.0 * math.cos(k * math.pi / 3), 2.0 * math.sin(k * math.pi / 3)] for k in range(6)]
 )
@@ -400,14 +470,15 @@ class TestWorkers:
 
     def test_memory_budget_is_the_workspace_bytes(self, monkeypatch):
         # A full batch's squared distances, block buffers, every pair's link
-        # arrays, and its trials' generators, positions and node arrays: one
-        # byte less is refused.
+        # arrays, the H bound table, and its trials' generators, positions
+        # and node arrays: one byte less is refused.
         args = dict(domain=build_house(2.0), model=mimo_mrc_2x2(1.0), trials=1, rho=1.0)
         n = SimConfig(**args).n
         batch = _kernel.batch_trials(n)
         pairs = batch * n * (n - 1) // 2
         need = _kernel.workspace_bytes(n)
-        assert need == 24 * pairs + 33 * min(pairs, _kernel.BLOCK) + (2048 + 120 * n) * batch
+        block = 64 * min(pairs, _kernel.BLOCK)
+        assert need == 24 * pairs + block + 8 * _kernel.TABLE_BINS + (2048 + 120 * n) * batch
         monkeypatch.setattr(simulator, "PHYSICAL_MEMORY", need - 1)
         with pytest.raises(SimulationError, match="physical memory"):
             SimConfig(**args)
@@ -548,29 +619,35 @@ class TestDeterminism:
 
 class TestStream:
     @pytest.mark.parametrize(
-        "domain, model, rho, counts, digest",
+        "domain, model, rho, trials, counts, digest",
         [
             (
-                build_house(5.0), mimo_mrc_2x2(1.0), 1.0, (399, 399),
+                build_house(5.0), mimo_mrc_2x2(1.0), 1.0, 400, (399, 399),
                 "323b380b23847a09af5c622c32d2a1bb761345fe1db1a33ce8f9ab5ec83c25ee",
             ),
             # 50 disconnected trials with no isolated node.
             (
-                build_half_cylinder(5.0, 4.0), mimo_mrc_2x2(1.0), 0.25, (115, 165),
+                build_half_cylinder(5.0, 4.0), mimo_mrc_2x2(1.0), 0.25, 400, (115, 165),
                 "8cd853c9d820ddcf5a6f7790218786035c225161d5bf889f7dc3942b5f4352ea",
             ),
             (
-                build_right_prism(HEX_BASE, 3.0), rayleigh(1.0, 3.0), 5.0, (394, 394),
+                build_right_prism(HEX_BASE, 3.0), rayleigh(1.0, 3.0), 5.0, 400, (394, 394),
                 "65e1cd85e6df1f78cb99fdae735c8a1bbfba7784efdbc03ed683e8913acacb31",
             ),
             (
-                build_house(2.0), hard_disk(0.8), 1.0, (1, 29),
+                build_house(2.0), hard_disk(0.8), 1.0, 400, (1, 29),
                 "89d4fb7aa2ab1122415fdf379aaab8fb37b1ee9f4d55e84ad4c4c2ef6090d733",
             ),
             # N = 375: three H blocks per trial.
             (
-                build_house(10.0), mimo_mrc_2x2(1.0), 0.3, (69, 91),
+                build_house(10.0), mimo_mrc_2x2(1.0), 0.3, 400, (69, 91),
                 "00acd5fa1e2da75bd18c2b7487420add3a1a7a3da0ef599389cae033430c7080",
+            ),
+            # N = 1250: 24 H blocks per trial, most of whose pairs lie past
+            # r = 6.7, where H < 2^-53.
+            (
+                build_house(10.0), mimo_mrc_2x2(1.0), 1.0, 20, (20, 20),
+                "b86c8bfdd271630bd42ee235f286f66dfc95fb67fb1be292027de64ed007c382",
             ),
         ],
         ids=[
@@ -579,16 +656,17 @@ class TestStream:
             "hex-prism-rayleigh",
             "house-hard-disk",
             "house-L10-mimo-3-blocks",
+            "house-L10-mimo-24-blocks",
         ],
     )
-    def test_pinned_counts(self, domain, model, rho, counts, digest):
+    def test_pinned_counts(self, domain, model, rho, trials, counts, digest):
         # Any change to the random stream or the link decision moves these.
         # The digest pins each trial's outcome: counts alone miss two trials
         # that swap theirs.
-        cfg = SimConfig(domain=domain, model=model, trials=400, seed=7, rho=rho)
+        cfg = SimConfig(domain=domain, model=model, trials=trials, seed=7, rho=rho)
         r = estimate(cfg)
         assert (r.fc_count, r.min_deg_ge1_count) == counts
-        connected, min_degree = map(np.concatenate, zip(*trial_outcomes(cfg, 0, 400)))
+        connected, min_degree = map(np.concatenate, zip(*trial_outcomes(cfg, 0, trials)))
         data = connected.astype(np.uint8).tobytes() + min_degree.astype("<i8").tobytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
