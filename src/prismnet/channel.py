@@ -1,13 +1,12 @@
 """Pair connectedness functions H(r) and their full-space connection masses.
 
-Three link families are provided.  Each smooth one is also a term table,
-H = sum c s^p exp(-a s^eta) in s = r / r0, whose term-wise derivative is H'
-and whose radial moments are the connection masses:
+Three link families are provided.  Each smooth one is a table of rate
+polynomials, H = sum_a exp(-a x) P_a(x) in x = beta r^eta = (r / r0)^eta,
+which gives H, H' and the radial moments that are the connection masses:
 
 * ``mimo_mrc_2x2`` -- 2x2 MIMO with transmit beamforming and MRC reception
-  over i.i.d. Rayleigh channels, path-loss exponent fixed at 2:
-  H(r) = exp(-b r^2) (b^2 r^4 + 2 - exp(-b r^2)).
-* ``rayleigh`` -- single-antenna Rayleigh outage link, H(r) = exp(-b r^eta).
+  over i.i.d. Rayleigh channels, eta = 2: P_1 = x^2 + 2 and P_2 = -1.
+* ``rayleigh`` -- single-antenna Rayleigh outage link, P_1 = 1: H = exp(-x).
 * ``hard_disk`` -- on/off connection at range r0 (the eta -> infinity limit).
 
 ``beta`` absorbs transmit power, noise power, and rate threshold; the
@@ -28,8 +27,12 @@ MIMO_MRC_2X2 = "mimo_mrc_2x2"
 RAYLEIGH = "rayleigh"
 HARD_DISK = "hard_disk"
 
-# The term tables, as (c, p, a); ``h_of_d2``, which simulated links u < H read, keeps its own form.
-_TERMS = {MIMO_MRC_2X2: ((1, 4, 1), (2, 0, 1), (-1, 0, 2)), RAYLEIGH: ((1, 0, 1),)}
+# Each smooth family's rate polynomials (P_1, P_2, ...), by ascending power of x.
+_TERMS = {MIMO_MRC_2X2: ((2.0, 0.0, 1.0), (-1.0,)), RAYLEIGH: ((1.0,),)}
+# dH/dx has the same form, with P_a' - a P_a for each P_a.
+_SLOPES = {f: tuple(tuple((j + 1) * u - a * c for j, (c, u) in enumerate(zip(p, p[1:] + (0.0,))))
+                    for a, p in enumerate(ps, 1)) for f, ps in _TERMS.items()}
+_X_MAX = 746.0  # exp(-x) = 0 past 745.2: x capped here keeps x^k finite, changes no finite H
 
 
 class ModelError(InputError):
@@ -93,6 +96,8 @@ def hard_disk(r0: float) -> ConnectivityModel:
         beta = float(r0) ** -2
     except OverflowError:
         raise ModelError(f"hard-disk range {r0!r} is too small: r0**-2 overflows") from None
+    if beta < np.finfo(float).tiny:  # a subnormal beta would move r0
+        raise ModelError(f"hard-disk range {r0!r} is too large: r0**-2 underflows")
     return ConnectivityModel(HARD_DISK, beta, 2.0)
 
 
@@ -113,58 +118,52 @@ def h(model: ConnectivityModel, r) -> np.ndarray | float:
 
 def h_of_d2(model: ConnectivityModel, d2) -> np.ndarray:
     """Same as h() but from squared distance; the form the simulator and the
-    quadrature oracle use.
-
-    The first step allocates; the later ones work in place on its result, so
-    d2 is left untouched.  A scalar d2 gives a 0-d result.
-    """
+    quadrature oracle use.  It writes only arrays it allocates, so d2 is left
+    untouched, and works in place on them.  A scalar d2 gives a 0-d result."""
     d2 = np.asarray(d2, dtype=float)
-    if model.family == MIMO_MRC_2X2:
-        # x = -beta d2, so e = exp(x) needs no negation pass; x*x is the same
-        # either sign.
-        x = np.multiply(d2, -model.beta)
-        e = np.exp(x)
-        # e * (x*x + 2 - e), built in x.
-        x *= x
-        x += 2.0
-        x -= e
-        e *= x
-        return e
-    if model.family == RAYLEIGH:
-        # exp(-beta * d2**(eta/2)).
-        y = np.power(d2, 0.5 * model.eta)
-        y *= -model.beta
-        return np.exp(y)
-    return (d2 <= model.r0**2).astype(float)
+    if not model.smooth:
+        return (d2 <= model.r0**2).astype(float)
+    x = np.power(d2, 0.5 * model.eta, out=np.empty(d2.shape))  # an array, even 0-d
+    x *= model.beta
+    return _series(_TERMS[model.family], x)
+
+
+def _series(polys, x: np.ndarray) -> np.ndarray:
+    """sum_a exp(-a x) P_a(x), by Horner's rule in e = exp(-x) from the highest
+    rate down and in x within each P_a.  Caps the array x at _X_MAX in place."""
+    np.minimum(x, _X_MAX, out=x)
+    e = np.exp(-x, out=np.empty(x.shape))
+    out = None
+    for p in reversed(polys):
+        term = p[-1]
+        for c in p[-2::-1]:
+            term *= x  # a new array while term is a number; in place after
+            term += c
+        out = term if out is None else term + out * e
+    e *= out
+    return e
 
 
 def h_prime(model: ConnectivityModel, r) -> np.ndarray | float:
-    """dH/dr from the term table, used by the quadrature oracle.  Smooth families only."""
+    """dH/dr = (eta / r0) s^(eta-1) dH/dx, x = s^eta, s = r / r0; for the quadrature oracle."""
     if not model.smooth:
         raise ModelError("hard-disk H has no derivative")
-    s = _distance(r) / model.r0
-    s_eta, eta, out = np.power(s, model.eta), model.eta, 0.0
-    # d/ds of s^p e^(-a s^eta) is (p s^(p-1) - a eta s^(p+eta-1)) e^(-a s^eta): terms
-    # of equal p share their powers of s, and terms of equal a their exponential.
-    powers, exps = {}, {}
-    for c, p, a in _TERMS[model.family]:
-        if p not in powers:
-            powers[p] = (p * np.power(s, p - 1.0) if p else 0.0), np.power(s, p + eta - 1.0)
-        if a not in exps:
-            exps[a] = np.exp(-a * s_eta)
-        rise, fall = powers[p]
-        out = out + c / model.r0 * (rise - a * eta * fall) * exps[a]
+    s = np.minimum(_distance(r) / model.r0, _X_MAX ** (1.0 / model.eta))
+    out = _series(_SLOPES[model.family], np.power(s, model.eta, out=np.empty(s.shape)))
+    out *= model.eta / model.r0 * np.power(s, model.eta - 1.0)
     return float(out) if out.ndim == 0 else out
 
 
 @functools.lru_cache(maxsize=64)
 def _moment(model: ConnectivityModel, k: int) -> float:
-    """int_0^inf r^k H(r) dr = r0^(k+1) sum c Gamma(q) / (eta a^q), q = (k+1+p) / eta."""
+    """int_0^inf r^k H(r) dr = r0^(k+1) sum c Gamma(q) / (eta a^q), over each
+    coefficient c of x^j in each P_a, with q = j + (k+1) / eta."""
     scale, eta = model.beta ** (-(k + 1) / model.eta), model.eta
     if not model.smooth:  # the hard disk: int_0^r0 r^k dr
         return scale / (k + 1)
-    qs = ((c, (k + 1 + p) / eta, a) for c, p, a in _TERMS[model.family])
-    return scale * sum(c * math.gamma(q) / (eta * a**q) for c, q, a in qs)
+    polys = enumerate(_TERMS[model.family], 1)
+    terms = ((c, j + (k + 1) / eta, a) for a, p in polys for j, c in enumerate(p))
+    return scale * sum(c * math.gamma(q) / (eta * a**q) for c, q, a in terms)
 
 
 def bulk_mass(model: ConnectivityModel) -> float:

@@ -109,6 +109,8 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise SimulationError("need at least one trial")
+        if self.trials > 2**63 - 1:  # a run of more would never end
+            raise SimulationError("need at most 2**63 - 1 trials")
         if not (math.isfinite(self.rho) and self.rho > 0):
             raise SimulationError("density must be positive and finite")
         nodes = self.rho * self.domain.volume

@@ -3,11 +3,13 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 from scipy import integrate
 
@@ -90,6 +92,16 @@ def reference_h_of_d2(model, d2):
     return (d2 <= model.r0**2).astype(float)
 
 
+def reference_h_prime(model, r):
+    """dH/dr of a smooth family, derived by hand and written with plain operators."""
+    r = np.asarray(r, dtype=float)
+    x = model.beta * r**model.eta
+    e = np.exp(-x)
+    if model.family == "mimo_mrc_2x2":
+        return 2.0 * model.beta * r * e * (2.0 * e - x * x + 2.0 * x - 2.0)
+    return -model.eta * model.beta * r ** (model.eta - 1.0) * e
+
+
 EXACT_MODELS = [
     *(mimo_mrc_2x2(b) for b in (0.3, 0.5, 1.0, 2.0, 3.7, 7.0)),
     *(rayleigh(0.7, eta) for eta in (2.0, 2.5, 3.0, 4.0)),
@@ -110,12 +122,19 @@ class TestTermTable:
         # Within a few ulps of 1, H's scale: the stream's u < H reads h_of_d2,
         # which the term-wise sum equals bit for bit on only some points.
         r = np.linspace(0.0, 12.0, 4801)
-        s = r / model.r0
+        x = model.beta * r**model.eta
         table = sum(
-            c * np.power(s, p) * np.exp(-a * np.power(s, model.eta))
-            for c, p, a in _TERMS[model.family]
+            c * x**j * np.exp(-a * x)
+            for a, p in enumerate(_TERMS[model.family], 1)
+            for j, c in enumerate(p)
         )
         assert_allclose(table, h_of_d2(model, r * r), rtol=0, atol=4 * np.finfo(float).eps)
+
+    def test_h_prime_matches_reference(self, model):
+        r = np.linspace(0.0, 30.0, 6001) * model.r0
+        want = reference_h_prime(model, r)
+        tol = 8 * np.finfo(float).eps * np.abs(want).max()
+        assert_allclose(h_prime(model, r), want, rtol=0, atol=tol)
 
     def test_h_prime_matches_central_differences(self, model):
         r = np.linspace(0.05, 4.0, 50) * model.r0
@@ -186,6 +205,43 @@ class TestInPlaceExactness:
             d2 = np.array(v)
             h_of_d2(model, d2)
             assert d2 == v
+
+
+SMOOTH_MODELS = st.one_of(
+    st.floats(-12.0, 12.0).map(lambda t: mimo_mrc_2x2(10.0**t)),
+    st.builds(lambda t, eta: rayleigh(10.0**t, eta), st.floats(-12.0, 12.0), st.floats(2.0, 8.0)),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(SMOOTH_MODELS, hnp.arrays(float, st.integers(0, 40), elements=st.floats(0.0, 1e200)))
+def test_h_of_d2_is_the_reference(model, d2):
+    # The table's evaluator gives the hand-written form's bits wherever that
+    # form is finite; past exp's underflow the form can read 0 * inf.
+    with np.errstate(all="ignore"):
+        want, got = reference_h_of_d2(model, d2), h_of_d2(model, d2)
+    finite = np.isfinite(want)
+    assert np.array_equal(got[finite], want[finite])
+
+
+class TestFarTail:
+    """Past exp's underflow, H and H' are 0, not 0 * inf, and nothing warns."""
+
+    @pytest.mark.parametrize(
+        "f, model, r",
+        [
+            (h, mimo_mrc_2x2(1.0), 1e78),
+            (h, mimo_mrc_2x2(1e300), 1.0),
+            (h_prime, mimo_mrc_2x2(1.0), 1e70),
+            (h_prime, rayleigh(1.0, 40.0), 1e10),
+        ],
+        ids=["h-far", "h-beta-1e300", "h_prime-far", "h_prime-eta-40"],
+    )
+    def test_zero(self, f, model, r):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f(model, r) == 0.0
+            assert np.array_equal(f(model, np.array([0.0, r])), [f(model, 0.0), 0.0])
 
 
 class TestScalarExactness:
@@ -272,6 +328,14 @@ class TestSpecs:
             with pytest.raises(ModelError, match="too small"):
                 model_from_spec({"family": "hard_disk", "r0": tiny})
         assert hard_disk(1e-150).r0 == pytest.approx(1e-150)
+        # beta = r0**-2 must be a normal float: 1e-320, subnormal, would move r0.
+        for big in (1e160, 1e200):
+            message = f"hard-disk range {big!r} is too large: r0**-2 underflows"
+            with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+                hard_disk(big)
+            with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+                model_from_spec({"family": "hard_disk", "r0": big})
+        assert hard_disk(1e150).r0 == pytest.approx(1e150)
 
     @pytest.mark.parametrize(
         "spec, message",

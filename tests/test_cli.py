@@ -110,6 +110,12 @@ BAD_INPUTS = [
      None, "unknown field(s): r0"),
     ("hard-disk-r0-tiny", SIM_COMMANDS, {"--model": '{"family":"hard_disk","r0":1e-200}'}, None,
      "too small"),
+    ("hard-disk-r0-huge", SIM_COMMANDS, {"--model": '{"family":"hard_disk","r0":1e160}'}, None,
+     "too large: r0**-2 underflows"),
+    # A run of more trials than an int64 counts would never end.
+    ("trials-huge", SIM_COMMANDS, {"--trials": BIG}, None, "need at most 2**63 - 1 trials"),
+    ("trials-huge-in-file", SIM_COMMANDS, {"--trials": None}, {"trials": int(BIG)},
+     "need at most 2**63 - 1 trials"),
     # A hard disk has no boundary terms, so compare stops before it simulates.
     ("hard-disk-boundary-terms", ("compare",), {"--model": '{"family":"hard_disk","r0":1}'}, None,
      "need a differentiable H"),

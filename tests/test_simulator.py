@@ -509,7 +509,7 @@ class TestWorkers:
         assert densities == [0.5, 1.0, 1.5]
         assert shared == sweep(*args, workers=1)
 
-    @pytest.mark.parametrize("trials", [10**23, 2**53 + 1], ids=["1e23", "2**53+1"])
+    @pytest.mark.parametrize("trials", [2**63 - 1, 2**53 + 1], ids=["2**63-1", "2**53+1"])
     @pytest.mark.parametrize("workers", [2, 3])
     def test_chunks_tile_the_trials(self, monkeypatch, trials, workers):
         # The pool records each submitted range and runs none of them.
@@ -682,6 +682,9 @@ class TestConfig:
         d, m = build_house(1.0), mimo_mrc_2x2(1.0)
         with pytest.raises(SimulationError):
             SimConfig(domain=d, model=m, trials=0, rho=1.0)
+        with pytest.raises(SimulationError, match=r"^need at most 2\*\*63 - 1 trials$"):
+            SimConfig(domain=d, model=m, trials=2**63, rho=1.0)
+        assert SimConfig(domain=d, model=m, trials=2**63 - 1, rho=1.0).trials == 2**63 - 1
         for rho in (-1.0, float("nan"), float("inf")):
             with pytest.raises(SimulationError):
                 SimConfig(domain=d, model=m, trials=1, rho=rho)
